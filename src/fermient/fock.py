@@ -30,6 +30,8 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     MixedParityError,
+    NotNormalizedError,
+    WrongParityError,
     ZeroNormError,
 )
 
@@ -83,7 +85,8 @@ class FockState:
     n_modes:
         Number of fermionic modes (1..12).
     vector:
-        Complex amplitudes indexed by occupation mask. Read-only.
+        Complex amplitudes indexed by occupation mask. A read-only private
+        copy of the array passed in.
     parity:
         Number-parity tag of the support, ``"even"`` or ``"odd"``.
     """
@@ -93,7 +96,16 @@ class FockState:
     parity: Parity
 
     def __post_init__(self) -> None:
-        self.vector.setflags(write=False)
+        dim = _dim(self.n_modes)
+        vector = np.array(self.vector, dtype=np.complex128)
+        if vector.shape != (dim,):
+            raise DimensionMismatchError(
+                f"expected vector of length {dim}, got shape {vector.shape}"
+            )
+        if self.parity not in ("even", "odd"):
+            raise WrongParityError(f"parity tag must be 'even' or 'odd', got {self.parity!r}")
+        vector.setflags(write=False)
+        object.__setattr__(self, "vector", vector)
 
     @property
     def dim(self) -> int:
@@ -146,6 +158,8 @@ def make_state(
         All amplitudes vanish.
     MixedParityError
         Support straddles both parity sectors.
+    NotNormalizedError
+        An amplitude is NaN or infinite.
     DimensionMismatchError
         Mask out of range or wrong vector length.
     """
@@ -166,6 +180,9 @@ def make_state(
             )
         vec[:] = arr
 
+    non_finite = np.flatnonzero(~np.isfinite(vec))
+    if non_finite.size:
+        raise NotNormalizedError(f"amplitude of mask {non_finite[0]} is not finite")
     nrm = float(np.linalg.norm(vec))
     if nrm <= TOL_ZERO:
         raise ZeroNormError("state vector has zero norm")

@@ -12,6 +12,7 @@ repr that recovers the double.
 """
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -62,6 +63,12 @@ def state_from_dict(doc: Any, normalize: bool = True) -> FockState:
             )
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
             raise StateFormatError(f"amplitude #{pos}: re/im must be numbers")
+        try:
+            finite = math.isfinite(re) and math.isfinite(im)
+        except OverflowError:  # an integer too large for a double
+            finite = False
+        if not finite:
+            raise StateFormatError(f"amplitude #{pos} (mask {mask}): re/im must be finite")
         if mask in amplitudes:
             raise StateFormatError(f"amplitude #{pos}: duplicate mask {mask}")
         amplitudes[mask] = complex(re, im)

@@ -1,8 +1,10 @@
-"""Self-contained Hermitian eigensolver for correlation-sized matrices.
+"""Hermitian eigensolver used throughout the package.
 
-Cyclic complex Jacobi iteration. Intended for the dimensions that occur in
-one-body work (at most ``2 * n_modes <= 24``); Fock-space-sized matrices go
-through numpy directly elsewhere.
+A checked front end to LAPACK (``numpy.linalg.eigh``): it rejects input that
+is not Hermitian within HERMITICITY_TOL and returns eigenvalues in descending
+order. It serves every size the package diagonalizes, from 2x2 reduced
+states to the 2^n x 2^n Fock-space operators of ``transforms.lift_to_fock``
+and the protocol gate exponentials.
 """
 
 from __future__ import annotations
@@ -11,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FermionError, NotHermitianError
+from .errors import NotHermitianError
 
 #: Hermiticity defect (max abs entry of M - M^H) tolerated on input.
 HERMITICITY_TOL = 1e-10
-#: Off-diagonal Frobenius norm at which the sweep loop stops.
-_SWEEP_TOL = 1e-13
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class Spectrum:
 
 
 def hermitian_eigensystem(matrix: np.ndarray) -> Spectrum:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalize the Hermitian part of a matrix that is Hermitian within tolerance.
 
     Parameters
     ----------
@@ -56,57 +55,5 @@ def hermitian_eigensystem(matrix: np.ndarray) -> Spectrum:
     defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if defect > HERMITICITY_TOL:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
-
-    n = a.shape[0]
-    a = (a + a.conj().T) / 2.0
-    q = np.eye(n, dtype=np.complex128)
-
-    for _ in range(_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off < _SWEEP_TOL:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                g = abs(apr)
-                if g < _SWEEP_TOL / max(n, 1):
-                    continue
-                phase = apr / g
-                app = a[p, p].real
-                arr = a[r, r].real
-                tau = (arr - app) / (2.0 * g)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-
-                # two-column rotation: J[p,p]=c, J[p,r]=s*phase, J[r,p]=-s*conj(phase), J[r,r]=c
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_r
-                a[:, r] = s * phase * col_p + c * col_r
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p - s * phase * row_r
-                a[r, :] = s * np.conj(phase) * row_p + c * row_r
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[r, r] = a[r, r].real
-
-                qc_p = q[:, p].copy()
-                qc_r = q[:, r].copy()
-                q[:, p] = c * qc_p - s * np.conj(phase) * qc_r
-                q[:, r] = s * phase * qc_p + c * qc_r
-    else:
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off >= 1e-10:
-            raise FermionError(
-                f"jacobi sweep failed to converge, off-diagonal norm {off:.3e}"
-            )
-
-    values = np.real(np.diag(a))
-    order = np.argsort(values)[::-1]
-    return Spectrum(values=values[order].copy(), vectors=q[:, order].copy())
+    values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return Spectrum(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())

@@ -299,6 +299,8 @@ def _teleport_gates(kind: Kind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         half = math.pi / 2.0
         x_corr = 1j * rotation(bob, (-half, 0.0, 0.0), _TELEPORT_MODES).matrix
         z_corr = 1j * rotation(bob, (0.0, 0.0, -half), _TELEPORT_MODES).matrix
+        for gate in (circuit, x_corr, z_corr):
+            gate.setflags(write=False)
         _TELEPORT_GATES[kind] = (circuit, x_corr, z_corr)
     return _TELEPORT_GATES[kind]
 
@@ -362,7 +364,7 @@ def run_teleportation(coefficients: tuple[complex, complex], kind: Kind) -> Tele
     """
     alpha, beta = complex(coefficients[0]), complex(coefficients[1])
     weight = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(weight - 1.0) > TOL_NORM:
+    if not abs(weight - 1.0) <= TOL_NORM:  # also rejects NaN
         raise NotNormalizedError(f"|alpha|^2 + |beta|^2 = {weight:.12f}, expected 1")
     if kind not in ("odd", "even"):
         raise ValueError(f"unknown encoding kind {kind!r}")
@@ -456,6 +458,7 @@ def _sdc_unitary(bits: str) -> np.ndarray:
             op = 1j * rotation(enc, (0.0, 0.0, -half), _SDC_MODES, both_kinds=True).matrix
         else:
             op = -rotation(enc, (0.0, -half, 0.0), _SDC_MODES, both_kinds=True).matrix
+        op.setflags(write=False)
         _SDC_UNITARIES[bits] = op
     return _SDC_UNITARIES[bits]
 

@@ -434,7 +434,7 @@ def normal_form(state: FockState) -> SchmidtForm:
     alpha_plus = float(max(phi[_MASK_PLUS].real, 0.0))
     alpha_minus = float(max(phi[_MASK_MINUS].real, 0.0))
     transformed = FockState(
-        n_modes=4, vector=phi.copy(), parity=vector_parity(phi, 4)
+        n_modes=4, vector=phi, parity=vector_parity(phi, 4)
     )
     return SchmidtForm(
         alpha_plus=alpha_plus,

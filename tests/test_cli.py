@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -258,3 +259,27 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
     assert "fermient" in out
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_non_finite_state_file_exits_2_without_warning(tmp_path, capsys, token):
+    path = tmp_path / "state.json"
+    path.write_text(
+        '{"n_modes": 4, "amplitudes": [{"mask": 3, "re": %s, "im": 0.0}]}' % token,
+        encoding="utf-8",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "entropy", str(path))
+    assert code == 2 and out == ""
+    assert "amplitude #0 (mask 3)" in err and "finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--alpha-re", "--alpha-im", "--beta-re", "--beta-im"])
+def test_teleport_rejects_nan_coefficients(capsys, flag):
+    argv = ["teleport", "--alpha-re", "0.6", "--beta-re", "0.8", "--kind", "odd", flag, "nan"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "|alpha|^2 + |beta|^2 = nan" in err

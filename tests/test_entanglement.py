@@ -33,27 +33,7 @@ from fermient.errors import (
 )
 from fermient.transforms import lift_to_fock, particle_hole, random_bogoliubov, validate_bogoliubov
 
-
-def oracle_reduced(state, part):
-    """Partial trace by explicit sign-dressed reordering, kept independent."""
-    order = list(part.side_a) + list(part.side_b)
-    na = len(part.side_a)
-    out = np.zeros((2 ** len(part.side_b), 2**na), dtype=complex)
-    for mask in range(state.dim):
-        amp = state.vector[mask]
-        occ = [m for m in order if mask >> m & 1]
-        sign = 1
-        for i in range(len(occ)):
-            for j in range(i + 1, len(occ)):
-                if occ[i] > occ[j]:
-                    sign = -sign
-        a_idx = sum(((mask >> m) & 1) << k for k, m in enumerate(part.side_a))
-        b_idx = sum(((mask >> m) & 1) << k for k, m in enumerate(part.side_b))
-        out[b_idx, a_idx] += sign * amp
-    rho_a = np.zeros((2**na, 2**na), dtype=complex)
-    for row in out:
-        rho_a += np.outer(row, row.conj())
-    return rho_a
+from conftest import oracle_reduced
 
 
 PSI_00 = {0b0101: 0.5, 0b1010: 0.5, 0b0000: 0.5, 0b1111: 0.5}

@@ -4,7 +4,10 @@ import pytest
 from fermient import (
     DimensionMismatchError,
     FockOperator,
+    FockState,
     MixedParityError,
+    NotNormalizedError,
+    WrongParityError,
     ZeroNormError,
     apply_annihilation,
     apply_creation,
@@ -212,3 +215,33 @@ def test_nonzero_amplitudes_sorted_and_pruned():
     st = make_state(3, {0b110: 1.0, 0b011: 1.0, 0b000: 0.0})
     pairs = st.nonzero_amplitudes()
     assert [m for m, _ in pairs] == [0b011, 0b110]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_make_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(NotNormalizedError, match="mask 2"):
+        make_state(2, {0: 1.0, 2: bad})
+    with pytest.raises(NotNormalizedError, match="mask 2"):
+        make_state(2, [1.0, 0.0, bad, 0.0])
+
+
+def test_fock_state_freezes_a_private_copy():
+    v = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    state = FockState(2, v, "even")
+    assert v.flags.writeable
+    v[0] = 5.0
+    assert state.amplitude(0) == 1.0
+    assert not state.vector.flags.writeable
+    with pytest.raises(ValueError):
+        state.vector[0] = 2.0
+
+
+def test_fock_state_checks_shape_and_parity_tag():
+    with pytest.raises(DimensionMismatchError):
+        FockState(2, np.zeros(8, dtype=np.complex128), "even")
+    with pytest.raises(DimensionMismatchError):
+        FockState(2, np.zeros((2, 2), dtype=np.complex128), "even")
+    with pytest.raises(DimensionMismatchError):
+        FockState(0, np.zeros(1, dtype=np.complex128), "even")
+    with pytest.raises(WrongParityError):
+        FockState(2, np.zeros(4, dtype=np.complex128), "both")

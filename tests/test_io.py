@@ -85,3 +85,13 @@ def test_unreadable_path_and_bad_json(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(StateFormatError):
         load_state(bad)
+
+
+@pytest.mark.parametrize("field", ["re", "im"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+def test_non_finite_amplitudes_rejected(field, value):
+    entry = {"mask": 2, "re": 0.6, "im": 0.0}
+    entry[field] = value
+    doc = {"n_modes": 2, "amplitudes": [{"mask": 1, "re": 0.8, "im": 0.0}, entry]}
+    with pytest.raises(StateFormatError, match=r"amplitude #1 \(mask 2\)"):
+        state_from_dict(doc)

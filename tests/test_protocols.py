@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fermient import basis_state, make_state, vacuum_state
+from fermient import basis_state, make_state, protocols, vacuum_state
 from fermient.correlations import extended_density
 from fermient.entanglement import ModePartition, bipartite_entropy, concurrence, reduced_state
 from fermient.errors import (
@@ -551,3 +551,15 @@ def test_split_fermion_resource_cannot_teleport():
         assert abs(rho_bob[0, 1]) < 1e-12
         fidelity = float(np.real(target.conj() @ rho_bob @ target))
         assert abs(fidelity - 0.5) < 1e-12
+
+
+def test_cached_gate_arrays_are_read_only():
+    for kind in ("odd", "even"):
+        run_teleportation((0.6, 0.8), kind)
+        for gate in protocols._TELEPORT_GATES[kind]:
+            assert not gate.flags.writeable
+    for message in ("000", "010", "100", "110"):
+        superdense_encode(message)
+    assert set(protocols._SDC_UNITARIES) == {"00", "01", "10", "11"}
+    for op in protocols._SDC_UNITARIES.values():
+        assert not op.flags.writeable
