@@ -22,6 +22,7 @@ superselection rule obeyed by physical fermionic systems.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
@@ -53,10 +54,13 @@ def _dim(n_modes: int) -> int:
     return 1 << n_modes
 
 
+@functools.cache
 def _mask_parities(n_modes: int) -> np.ndarray:
-    """Parity (0 even, 1 odd) of every basis mask, as a uint8 array."""
+    """Parity (0 even, 1 odd) of every basis mask, as a read-only uint8 array."""
     masks = np.arange(1 << n_modes, dtype=np.uint64)
-    return (np.bitwise_count(masks) & 1).astype(np.uint8)
+    parities = (np.bitwise_count(masks) & 1).astype(np.uint8)
+    parities.setflags(write=False)
+    return parities
 
 
 def vector_parity(vector: np.ndarray, n_modes: int) -> Parity:
@@ -89,6 +93,12 @@ class FockState:
         copy of the array passed in.
     parity:
         Number-parity tag of the support, ``"even"`` or ``"odd"``.
+
+    Construction rejects a tag that contradicts the support: a vector holding
+    more than TOL_NORM of its weight outside the tagged sector raises
+    WrongParityError. The zero vector is accepted under either tag, because
+    ``apply_creation`` and ``apply_annihilation`` may return it by design; for
+    the same reason the norm is not checked.
     """
 
     n_modes: int
@@ -104,6 +114,13 @@ class FockState:
             )
         if self.parity not in ("even", "odd"):
             raise WrongParityError(f"parity tag must be 'even' or 'odd', got {self.parity!r}")
+        weights = np.abs(vector) ** 2
+        outside = _mask_parities(self.n_modes) != (self.parity == "odd")
+        w_out = float(np.sum(weights[outside]))
+        if w_out > TOL_NORM * float(np.sum(weights)):
+            raise WrongParityError(
+                f"state tagged {self.parity!r} holds weight {w_out:.3e} outside its sector"
+            )
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
 
@@ -340,7 +357,7 @@ class FockOperator:
             )
         else:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if defect > TOL_NORM:
+        if not defect <= TOL_NORM:  # also rejects NaN
             raise DimensionMismatchError(
                 f"matrix violates {self.kind} property by {defect:.3e}"
             )

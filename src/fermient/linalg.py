@@ -3,8 +3,7 @@
 A checked front end to LAPACK (``numpy.linalg.eigh``): it rejects input that
 is not Hermitian within HERMITICITY_TOL and returns eigenvalues in descending
 order. It serves every size the package diagonalizes, from 2x2 reduced
-states to the 2^n x 2^n Fock-space operators of ``transforms.lift_to_fock``
-and the protocol gate exponentials.
+states to the 2^n x 2^n Fock-space operators of ``transforms.lift_to_fock``.
 """
 
 from __future__ import annotations

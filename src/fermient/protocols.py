@@ -10,6 +10,41 @@ Logical convention used throughout: |0_L> is the sigma_z = -1 state of the
 pair (second mode occupied for the odd kind, empty pair for the even kind).
 The controlled-NOT exponent therefore carries (1 + sigma_z) on the control,
 which flips the target exactly when the control holds logical |1>.
+
+Gates are built from closed forms, never by exponentiating a dense
+generator. On its sector a kind's sigma_a satisfy sigma_a sigma_b +
+sigma_b sigma_a = 2 delta_ab Pi, with Pi the sector projector, and they
+vanish outside it. Hence
+
+    exp(i lambda.sigma) = (1 - Pi) + Pi cos|lambda| + i sin|lambda| lambda^.sigma,
+
+the identity for lambda = 0. The dual dictionary sigma + sigma~ squares to
+the identity on the pair, so exp(i lambda.(sigma + sigma~)) =
+cos|lambda| + i sin|lambda| lambda^.(sigma + sigma~). The Hadamard is i times
+a rotation, with the i folded into the same matrix.
+
+The CNOT's control factor is diagonal in the occupation basis, so the gate
+is a rotation of the target by an angle phi = pi/4 (1 + sigma_z^ctrl) read
+off each basis state: exp[i phi (1 - sigma_x^tgt)] =
+e^{i phi} exp(-i phi sigma_x^tgt). With P = (Pi_c + sigma_z^c)/2,
+R_c = 1 - Pi_c, Q = (Pi_t - sigma_x^t)/2 and R_t = 1 - Pi_t (commuting
+projectors whose products are orthogonal) this is
+
+    1 - 2 P Q + (i - 1)(P R_t + R_c Q) + (e^{i pi/4} - 1) R_c R_t.
+
+On the code space it reduces to 1 - 2 P Q. Off it the gate keeps phases:
+i where the control holds logical |1> and the target pair is outside its
+sector, e^{i pi/4} where both pairs are outside, and the mixing (i - 1) R_c Q
+where only the control is outside. In the dual form P = (1 - sigma_z -
+sigma~_z)/2 and Q = (1 - sigma_x - sigma~_x)/2 are true projectors, and the
+gate is 1 - 2 P Q exactly.
+
+The off-diagonal part of sigma_x and sigma_y comes from h = cdag_i c_j (odd
+kind) or h = cdag_i cdag_j (even kind), whose (row, column, sign) table is
+composed from the sign rule of ``fock``. That keeps the Jordan-Wigner sign
+right for non-adjacent and reversed pairs. Every gate is one zeroed 2^n x 2^n
+matrix plus O(2^n) indexed writes, and ``FockOperator`` still checks its
+unitarity.
 """
 
 from __future__ import annotations
@@ -33,17 +68,15 @@ from .fock import (
     FockState,
     TOL_NORM,
     TOL_ZERO,
-    annihilation_matrix,
     apply_operator_string,
-    creation_matrix,
-    number_matrix,
     vacuum_state,
     vector_parity,
 )
-from .linalg import hermitian_eigensystem
 
 Axis = Literal["x", "y", "z"]
 Kind = Literal["odd", "even"]
+
+_KINDS: tuple[Kind, Kind] = ("odd", "even")
 
 _DECODE_TOL = 1e-9
 
@@ -84,22 +117,35 @@ def _ambient_modes(n_modes: int | None, *mode_groups: tuple[int, ...]) -> int:
     return n_modes
 
 
-def _pauli_matrix(pair: tuple[int, int], kind: Kind, axis: Axis, n_modes: int) -> np.ndarray:
+def _jw_sign(masks: np.ndarray, mode: int) -> np.ndarray:
+    """Sign (-1)^(occupied modes below ``mode``) that c_mode and cdag_mode pick up."""
+    return 1.0 - 2.0 * (np.bitwise_count(masks & ((1 << mode) - 1)) & 1)
+
+
+def _dictionary_tables(
+    pair: tuple[int, int], kind: Kind, n_modes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bit tables of one kind's Pauli dictionary on ``pair``.
+
+    Returns ``(sector, z, rows, cols, sign)``: the diagonals of the sector
+    projector Pi and of sigma_z, and the table of h = cdag_i c_j (odd kind) or
+    h = cdag_i cdag_j (even kind), which moves the amplitude at ``cols[k]`` to
+    ``rows[k]`` with factor ``sign[k]``. Then sigma_x = h + h^dag and
+    sigma_y = -i (h - h^dag).
+    """
     i, j = pair
+    masks = np.arange(1 << n_modes)
+    occ_i, occ_j = (masks >> i) & 1, (masks >> j) & 1
     if kind == "odd":
-        if axis == "z":
-            return number_matrix(n_modes, i) - number_matrix(n_modes, j)
-        hop = creation_matrix(n_modes, i) @ annihilation_matrix(n_modes, j)
-        if axis == "x":
-            return hop + hop.conj().T
-        return -1j * (hop - hop.conj().T)
-    if axis == "z":
-        dim = 1 << n_modes
-        return number_matrix(n_modes, i) + number_matrix(n_modes, j) - np.eye(dim)
-    pairing = creation_matrix(n_modes, i) @ creation_matrix(n_modes, j)
-    if axis == "x":
-        return pairing + pairing.conj().T
-    return -1j * (pairing - pairing.conj().T)
+        sector, z = occ_i ^ occ_j, occ_i - occ_j
+        cols = masks[(occ_i == 0) & (occ_j == 1)]
+    else:
+        sector, z = 1 - (occ_i ^ occ_j), occ_i + occ_j - 1
+        cols = masks[(occ_i == 0) & (occ_j == 0)]
+    # c_j (odd) or cdag_j (even) acts first, then cdag_i
+    mid = cols ^ (1 << j)
+    sign = _jw_sign(cols, j) * _jw_sign(mid, i)
+    return sector.astype(np.float64), z.astype(np.float64), mid ^ (1 << i), cols, sign
 
 
 def pauli(encoding: QubitEncoding, axis: Axis, n_modes: int | None = None) -> FockOperator:
@@ -107,14 +153,45 @@ def pauli(encoding: QubitEncoding, axis: Axis, n_modes: int | None = None) -> Fo
     if axis not in ("x", "y", "z"):
         raise ValueError(f"unknown axis {axis!r}")
     n = _ambient_modes(n_modes, encoding.pair)
-    return FockOperator(n, _pauli_matrix(encoding.pair, encoding.kind, axis, n), "hermitian")
+    _, z, rows, cols, sign = _dictionary_tables(encoding.pair, encoding.kind, n)
+    if axis == "z":
+        return FockOperator(n, np.diag(z.astype(np.complex128)), "hermitian")
+    hop = sign if axis == "x" else -1j * sign
+    matrix = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    matrix[rows, cols] = hop
+    matrix[cols, rows] = np.conj(hop)
+    return FockOperator(n, matrix, "hermitian")
 
 
-def _unitary_exp(generator: np.ndarray) -> np.ndarray:
-    """exp(i G) for Hermitian G via the package eigensolver."""
-    spec = hermitian_eigensystem(generator)
-    phases = np.exp(1j * spec.values)
-    return (spec.vectors * phases) @ spec.vectors.conj().T
+def _dictionary_exp(
+    pair: tuple[int, int],
+    kinds: tuple[Kind, ...],
+    n_modes: int,
+    weights: tuple,
+    phase: complex | np.ndarray = 1.0,
+) -> np.ndarray:
+    """phase * exp(i lambda . sum_k sigma^(k)) over the dictionaries of ``kinds``.
+
+    The closed form of the module docstring, written into one zeroed matrix.
+    Each weight and ``phase`` is a scalar or a per-mask array; an array must
+    depend only on modes outside ``pair``, which the hops leave unchanged.
+    """
+    dim = 1 << n_modes
+    wx, wy, wz = (np.broadcast_to(np.asarray(w, dtype=np.float64), (dim,)) for w in weights)
+    theta = np.sqrt(wx * wx + wy * wy + wz * wz)
+    # i sin|lambda| / |lambda|, so that lambda = 0 needs no special case
+    scale = 1j * np.sinc(theta / math.pi) * phase
+    base = np.ones(dim)  # (1 - Pi) + Pi cos|lambda|, summed over the kinds
+    z_sum = np.zeros(dim)
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    for kind in kinds:
+        sector, z, rows, cols, sign = _dictionary_tables(pair, kind, n_modes)
+        base += sector * (np.cos(theta) - 1.0)
+        z_sum += z
+        matrix[rows, cols] = (scale * (wx - 1j * wy))[cols] * sign
+        matrix[cols, rows] = (scale * (wx + 1j * wy))[cols] * sign
+    np.fill_diagonal(matrix, phase * base + scale * wz * z_sum)
+    return matrix
 
 
 def rotation(
@@ -128,20 +205,12 @@ def rotation(
     With ``both_kinds`` the generator uses sigma_a + sigma~_a, which acts on
     both local-parity sectors of the pair at once.
     """
+    weights = tuple(float(w) for w in axis_weights)
+    if len(weights) != 3 or not all(math.isfinite(w) for w in weights):
+        raise ValueError(f"rotation needs three finite weights, got {weights}")
     n = _ambient_modes(n_modes, encoding.pair)
-    dim = 1 << n
-    generator = np.zeros((dim, dim), dtype=np.complex128)
-    for weight, axis in zip(axis_weights, ("x", "y", "z")):
-        if weight == 0.0:
-            continue
-        if both_kinds:
-            term = _pauli_matrix(encoding.pair, "odd", axis, n) + _pauli_matrix(
-                encoding.pair, "even", axis, n
-            )
-        else:
-            term = _pauli_matrix(encoding.pair, encoding.kind, axis, n)
-        generator += float(weight) * term
-    return FockOperator(n, _unitary_exp(generator), "unitary")
+    kinds = _KINDS if both_kinds else (encoding.kind,)
+    return FockOperator(n, _dictionary_exp(encoding.pair, kinds, n, weights), "unitary")
 
 
 def hadamard(encoding: QubitEncoding, n_modes: int | None = None) -> FockOperator:
@@ -151,9 +220,10 @@ def hadamard(encoding: QubitEncoding, n_modes: int | None = None) -> FockOperato
     (X_L + Z_L)/sqrt(2) rotation; the i prefactor makes its action on the
     encoding's sector carry no extra phase.
     """
+    n = _ambient_modes(n_modes, encoding.pair)
     w = math.pi / (2.0 * math.sqrt(2.0))
-    rot = rotation(encoding, (-w, 0.0, w), n_modes)
-    return FockOperator(rot.n_modes, 1j * rot.matrix, "unitary")
+    matrix = _dictionary_exp(encoding.pair, (encoding.kind,), n, (-w, 0.0, w), 1j)
+    return FockOperator(n, matrix, "unitary")
 
 
 def cnot(
@@ -179,21 +249,16 @@ def cnot(
     if not both_kinds and control.kind != target.kind:
         raise ValueError("control and target encodings must share a kind")
     n = _ambient_modes(n_modes, control.pair, target.pair)
-    dim = 1 << n
-    eye = np.eye(dim)
     if both_kinds:
-        mz = _pauli_matrix(control.pair, "odd", "z", n) + _pauli_matrix(
-            control.pair, "even", "z", n
-        )
-        mx = _pauli_matrix(target.pair, "odd", "x", n) + _pauli_matrix(
-            target.pair, "even", "x", n
-        )
-        generator = (math.pi / 4.0) * (eye - mz) @ (eye - mx)
+        kinds = _KINDS
+        ctrl = 1.0 - sum(_dictionary_tables(control.pair, kind, n)[1] for kind in kinds)
     else:
-        sz = _pauli_matrix(control.pair, control.kind, "z", n)
-        sx = _pauli_matrix(target.pair, target.kind, "x", n)
-        generator = (math.pi / 4.0) * (eye + sz) @ (eye - sx)
-    return FockOperator(n, _unitary_exp(generator), "unitary")
+        kinds = (control.kind,)
+        ctrl = 1.0 + _dictionary_tables(control.pair, control.kind, n)[1]
+    # the control factor is diagonal, so the gate rotates the target by a per-mask angle
+    phi = (math.pi / 4.0) * ctrl
+    matrix = _dictionary_exp(target.pair, kinds, n, (-phi, 0.0, 0.0), np.exp(1j * phi))
+    return FockOperator(n, matrix, "unitary")
 
 
 def parity_gate(modes: tuple[int, ...], n_modes: int | None = None) -> FockOperator:

@@ -36,7 +36,7 @@ from .fock import (
     make_state,
     vector_parity,
 )
-from .linalg import hermitian_eigensystem
+from .linalg import Spectrum, hermitian_eigensystem
 
 __all__ = [
     "BogoliubovMap",
@@ -288,9 +288,11 @@ def _swap_halves(vec: np.ndarray) -> np.ndarray:
     return np.concatenate([vec[n:], vec[:n]])
 
 
-def _assemble_pairing_map(g: np.ndarray) -> BogoliubovMap:
-    """Build a diagonalizing map from particle-hole-paired eigenvector quartets."""
-    spec = hermitian_eigensystem(g)
+def _assemble_pairing_map(spec: Spectrum) -> BogoliubovMap:
+    """Build a diagonalizing map from particle-hole-paired eigenvector quartets.
+
+    ``spec`` is the spectrum of the 8x8 extended matrix, eigenvalues descending.
+    """
     e_plus = spec.vectors[:, :4]
     e_minus = spec.vectors[:, 4:]
     w3 = e_minus[:, 0]
@@ -382,7 +384,7 @@ def _degenerate_seed_map(state: FockState) -> BogoliubovMap:
     c_aux = np.sqrt(1 - delta) * xh + 1j * np.sqrt(delta) * u
     z_aux = m @ c_aux
     aux = make_state(4, {mask: z_aux[k] for k, mask in enumerate(_EVEN_MASKS)})
-    return _assemble_pairing_map(extended_density(aux).m)
+    return _assemble_pairing_map(hermitian_eigensystem(extended_density(aux).m))
 
 
 def normal_form(state: FockState) -> SchmidtForm:
@@ -405,12 +407,11 @@ def normal_form(state: FockState) -> SchmidtForm:
             4, lift_to_fock(total, 4).matrix.conj().T, kind="unitary"
         ).apply(state)
 
-    g = extended_density(work).m
-    spec = hermitian_eigensystem(g)
+    spec = hermitian_eigensystem(extended_density(work).m)
     f_plus = float(np.mean(spec.values[:4]))
     f_minus = float(np.mean(spec.values[4:]))
     if f_plus - f_minus > _GAP_TOL:
-        core = _assemble_pairing_map(g)
+        core = _assemble_pairing_map(spec)
     else:
         core = _degenerate_seed_map(work)
     total = compose(total, core)

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from fermient.fock import annihilation_matrix, creation_matrix, number_matrix
 
 # property tests draw the same examples on every run, so tier-1 stays deterministic
 settings.register_profile("fermient", derandomize=True, deadline=None)
@@ -53,3 +57,45 @@ def oracle_reduced(state, part):
     for row in out:
         rho_a += np.outer(row, row.conj())
     return rho_a
+
+
+def oracle_pauli(pair, kind, axis, n_modes):
+    """Pauli matrix of a pair dictionary assembled from dense mode-operator products."""
+    i, j = pair
+    if axis == "z":
+        if kind == "odd":
+            return number_matrix(n_modes, i) - number_matrix(n_modes, j)
+        return number_matrix(n_modes, i) + number_matrix(n_modes, j) - np.eye(2**n_modes)
+    second = annihilation_matrix if kind == "odd" else creation_matrix
+    hop = creation_matrix(n_modes, i) @ second(n_modes, j)
+    if axis == "x":
+        return hop + hop.conj().T
+    return -1j * (hop - hop.conj().T)
+
+
+def oracle_exp(generator):
+    """exp(i G) of a Hermitian generator by a dense eigendecomposition."""
+    values, vectors = np.linalg.eigh(generator)
+    return (vectors * np.exp(1j * values)) @ vectors.conj().T
+
+
+def oracle_rotation(pair, kind, weights, n_modes, both_kinds=False):
+    kinds = ("odd", "even") if both_kinds else (kind,)
+    generator = sum(
+        w * oracle_pauli(pair, k, axis, n_modes)
+        for w, axis in zip(weights, "xyz")
+        for k in kinds
+    )
+    return oracle_exp(generator)
+
+
+def oracle_cnot(control, target, kind, n_modes, both_kinds=False):
+    """exp[i pi/4 (1 + sigma_z^ctrl)(1 - sigma_x^tgt)], or its dual form."""
+    eye = np.eye(2**n_modes)
+    if both_kinds:
+        ctrl = eye - sum(oracle_pauli(control, k, "z", n_modes) for k in ("odd", "even"))
+        tgt = eye - sum(oracle_pauli(target, k, "x", n_modes) for k in ("odd", "even"))
+    else:
+        ctrl = eye + oracle_pauli(control, kind, "z", n_modes)
+        tgt = eye - oracle_pauli(target, kind, "x", n_modes)
+    return oracle_exp((math.pi / 4.0) * ctrl @ tgt)

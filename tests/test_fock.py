@@ -245,3 +245,25 @@ def test_fock_state_checks_shape_and_parity_tag():
         FockState(0, np.zeros(1, dtype=np.complex128), "even")
     with pytest.raises(WrongParityError):
         FockState(2, np.zeros(4, dtype=np.complex128), "both")
+
+
+def test_fock_state_tag_must_match_support():
+    wrong = np.zeros(16, dtype=np.complex128)
+    wrong[0b0011] = 2.0
+    with pytest.raises(WrongParityError):
+        FockState(4, wrong, "odd")
+    leak = random_state(4, parity="odd", seed=1).vector + 1e-4 * wrong
+    with pytest.raises(WrongParityError):
+        FockState(4, leak, "odd")
+    # the zero vector is accepted under either tag, as mode operators may return it
+    for parity in ("even", "odd"):
+        assert FockState(4, np.zeros(16), parity).is_zero()
+    assert apply_annihilation(basis_state(4, 0b0011), 2).is_zero()
+
+
+def test_operator_check_rejects_non_finite_matrix():
+    bad = np.eye(4, dtype=np.complex128)
+    bad[1, 1] = np.nan
+    for kind in ("unitary", "hermitian", "projector"):
+        with pytest.raises(DimensionMismatchError):
+            FockOperator(2, bad.copy(), kind=kind)

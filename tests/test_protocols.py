@@ -242,6 +242,29 @@ def test_encoding_confinement():
             assert np.max(np.abs(col - np.exp(1j * math.pi / 4.0) * want)) < 1e-11
 
 
+@pytest.mark.parametrize("kind,tgt_out", [("odd", 0b00), ("even", 0b10)])
+def test_cnot_phase_with_target_outside_its_sector(kind, tgt_out):
+    # control logical |1> and target off its code space: the fixed phase i;
+    # control logical |0>: the identity
+    ctrl = QubitEncoding((0, 1), kind)
+    gate = cnot(ctrl, QubitEncoding((2, 3), kind), 4).matrix
+    ctrl_zero, ctrl_one = ctrl.logical_indices
+    for ctrl_local, phase in ((ctrl_one, 1j), (ctrl_zero, 1.0)):
+        mask = ctrl_local | (tgt_out << 2)
+        want = np.zeros(16, dtype=complex)
+        want[mask] = phase
+        assert np.max(np.abs(gate[:, mask] - want)) < 1e-12
+
+
+def test_rotation_rejects_bad_weights():
+    enc = QubitEncoding((0, 1), "odd")
+    for weights in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf), (0.1, 0.2)):
+        with pytest.raises(ValueError):
+            rotation(enc, weights, 2)
+        with pytest.raises(ValueError):
+            rotation(enc, weights, 2, both_kinds=True)
+
+
 # ---------------------------------------------------------------------------
 # measurements and the parity gate
 # ---------------------------------------------------------------------------
