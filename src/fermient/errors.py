@@ -22,6 +22,14 @@ class DimensionMismatchError(FermionError):
     """Operands live on different mode counts or incompatible shapes."""
 
 
+class OperatorPropertyError(DimensionMismatchError):
+    """Operator fails its declared property (unitary, Hermitian, projector).
+
+    Derives from DimensionMismatchError, which such failures raised before
+    this class existed, so handlers written for that class still catch it.
+    """
+
+
 class HermiticityDefectError(FermionError):
     """A matrix that must be Hermitian fails the tolerance check."""
 

@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     MixedParityError,
     NotNormalizedError,
+    OperatorPropertyError,
     WrongParityError,
     ZeroNormError,
 )
@@ -333,7 +334,7 @@ class FockOperator:
 
     ``kind`` is one of ``"unitary"``, ``"hermitian"``, ``"projector"``; the
     corresponding algebraic property is checked at construction within
-    TOL_NORM.
+    TOL_NORM, and a violation raises OperatorPropertyError.
     """
 
     n_modes: int
@@ -358,10 +359,22 @@ class FockOperator:
         else:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if not defect <= TOL_NORM:  # also rejects NaN
-            raise DimensionMismatchError(
+            raise OperatorPropertyError(
                 f"matrix violates {self.kind} property by {defect:.3e}"
             )
         self.matrix.setflags(write=False)
+
+    @classmethod
+    def _prechecked_unitary(cls, n_modes: int, matrix: np.ndarray) -> "FockOperator":
+        """Unitary operator whose caller has already verified unitarity.
+
+        Skips the dense check of ``__post_init__``; only freezes the matrix.
+        """
+        op = object.__new__(cls)
+        for name, value in (("n_modes", n_modes), ("matrix", matrix), ("kind", "unitary")):
+            object.__setattr__(op, name, value)
+        matrix.setflags(write=False)
+        return op
 
     def apply(self, state: FockState) -> FockState:
         if state.n_modes != self.n_modes:

@@ -43,8 +43,18 @@ The off-diagonal part of sigma_x and sigma_y comes from h = cdag_i c_j (odd
 kind) or h = cdag_i cdag_j (even kind), whose (row, column, sign) table is
 composed from the sign rule of ``fock``. That keeps the Jordan-Wigner sign
 right for non-adjacent and reversed pairs. Every gate is one zeroed 2^n x 2^n
-matrix plus O(2^n) indexed writes, and ``FockOperator`` still checks its
-unitarity.
+matrix plus O(2^n) indexed writes.
+
+Unitarity is checked on the gate's 2x2 blocks, not by the dense
+M^dag M of ``FockOperator``. Each hop of a rotation, Hadamard or CNOT couples
+one column mask with one row mask, the pairs of the two kinds are disjoint,
+and every other mask only meets the diagonal (``parity_gate`` is all
+diagonal). So M is a direct sum of 2x2 blocks B and 1x1 entries, M^dag M is
+block diagonal with blocks B^dag B and exact zeros elsewhere, and the largest
+|B^dag B - 1| is the same number as the dense max |M^dag M - 1|. The check
+costs O(2^n) arithmetic plus one O(4^n) scan confirming that no nonzero entry
+lies outside the blocks, instead of an O(8^n) product; it allocates nothing
+of size 2^n x 2^n beside the gate itself.
 """
 
 from __future__ import annotations
@@ -60,8 +70,10 @@ from .errors import (
     DimensionMismatchError,
     ImpossibleBranchError,
     NotNormalizedError,
+    OperatorPropertyError,
     OverlappingPairsError,
     UnknownStateError,
+    ZeroNormError,
 )
 from .fock import (
     FockOperator,
@@ -163,18 +175,55 @@ def pauli(encoding: QubitEncoding, axis: Axis, n_modes: int | None = None) -> Fo
     return FockOperator(n, matrix, "hermitian")
 
 
+def _block_defect(matrix: np.ndarray, pairs: np.ndarray) -> float:
+    """max |M^dag M - 1| of a matrix that is a direct sum of 2x2 and 1x1 blocks.
+
+    Row k of ``pairs`` holds the two basis masks coupled by one 2x2 block B;
+    every other mask is a 1x1 block on the diagonal. M^dag M is then block
+    diagonal with blocks B^dag B and exact zeros elsewhere, so the largest
+    |B^dag B - 1| is the dense defect, read in O(2^n) instead of a 2^n x 2^n
+    product. That needs every entry outside the blocks to be zero, which a
+    count of nonzero entries checks (OperatorPropertyError otherwise). The
+    count reads the bits of the entries, six times faster than a complex
+    count, so a -0.0 outside the blocks is rejected too; a matrix that starts
+    from ``np.zeros`` never holds one there.
+    """
+    blocks = matrix[pairs[:, :, None], pairs[:, None, :]]
+    single = np.ones(matrix.shape[0], dtype=bool)
+    single[pairs] = False
+    singles = matrix.diagonal()[single]
+    inside = np.count_nonzero(blocks.view(np.uint64)) + np.count_nonzero(singles.view(np.uint64))
+    if np.count_nonzero(matrix.view(np.uint64)) != inside:
+        raise OperatorPropertyError("unitary gate has nonzero entries outside its 2x2 blocks")
+    gram = blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(2)
+    residuals = np.concatenate([gram.ravel(), singles.conj() * singles - 1.0])
+    return float(np.max(np.abs(residuals), initial=0.0))
+
+
+def _block_unitary(n_modes: int, matrix: np.ndarray, pairs: np.ndarray) -> FockOperator:
+    """Unitary FockOperator of a gate built from the 2x2 blocks in ``pairs``.
+
+    Checked by ``_block_defect`` against the same TOL_NORM as the dense check.
+    """
+    defect = _block_defect(matrix, pairs)
+    if not defect <= TOL_NORM:  # also rejects NaN
+        raise OperatorPropertyError(f"matrix violates unitary property by {defect:.3e}")
+    return FockOperator._prechecked_unitary(n_modes, matrix)
+
+
 def _dictionary_exp(
     pair: tuple[int, int],
     kinds: tuple[Kind, ...],
     n_modes: int,
     weights: tuple,
     phase: complex | np.ndarray = 1.0,
-) -> np.ndarray:
+) -> FockOperator:
     """phase * exp(i lambda . sum_k sigma^(k)) over the dictionaries of ``kinds``.
 
-    The closed form of the module docstring, written into one zeroed matrix.
-    Each weight and ``phase`` is a scalar or a per-mask array; an array must
-    depend only on modes outside ``pair``, which the hops leave unchanged.
+    The closed form of the module docstring, written into one zeroed matrix
+    whose 2x2 blocks each couple a hop's column with its row. Each weight and
+    ``phase`` is a scalar or a per-mask array; an array must depend only on
+    modes outside ``pair``, which the hops leave unchanged.
     """
     dim = 1 << n_modes
     wx, wy, wz = (np.broadcast_to(np.asarray(w, dtype=np.float64), (dim,)) for w in weights)
@@ -184,14 +233,16 @@ def _dictionary_exp(
     base = np.ones(dim)  # (1 - Pi) + Pi cos|lambda|, summed over the kinds
     z_sum = np.zeros(dim)
     matrix = np.zeros((dim, dim), dtype=np.complex128)
+    pairs = []
     for kind in kinds:
         sector, z, rows, cols, sign = _dictionary_tables(pair, kind, n_modes)
         base += sector * (np.cos(theta) - 1.0)
         z_sum += z
         matrix[rows, cols] = (scale * (wx - 1j * wy))[cols] * sign
         matrix[cols, rows] = (scale * (wx + 1j * wy))[cols] * sign
+        pairs.append(np.stack([cols, rows], axis=1))
     np.fill_diagonal(matrix, phase * base + scale * wz * z_sum)
-    return matrix
+    return _block_unitary(n_modes, matrix, np.concatenate(pairs))
 
 
 def rotation(
@@ -210,7 +261,7 @@ def rotation(
         raise ValueError(f"rotation needs three finite weights, got {weights}")
     n = _ambient_modes(n_modes, encoding.pair)
     kinds = _KINDS if both_kinds else (encoding.kind,)
-    return FockOperator(n, _dictionary_exp(encoding.pair, kinds, n, weights), "unitary")
+    return _dictionary_exp(encoding.pair, kinds, n, weights)
 
 
 def hadamard(encoding: QubitEncoding, n_modes: int | None = None) -> FockOperator:
@@ -222,8 +273,7 @@ def hadamard(encoding: QubitEncoding, n_modes: int | None = None) -> FockOperato
     """
     n = _ambient_modes(n_modes, encoding.pair)
     w = math.pi / (2.0 * math.sqrt(2.0))
-    matrix = _dictionary_exp(encoding.pair, (encoding.kind,), n, (-w, 0.0, w), 1j)
-    return FockOperator(n, matrix, "unitary")
+    return _dictionary_exp(encoding.pair, (encoding.kind,), n, (-w, 0.0, w), 1j)
 
 
 def cnot(
@@ -257,8 +307,7 @@ def cnot(
         ctrl = 1.0 + _dictionary_tables(control.pair, control.kind, n)[1]
     # the control factor is diagonal, so the gate rotates the target by a per-mask angle
     phi = (math.pi / 4.0) * ctrl
-    matrix = _dictionary_exp(target.pair, kinds, n, (-phi, 0.0, 0.0), np.exp(1j * phi))
-    return FockOperator(n, matrix, "unitary")
+    return _dictionary_exp(target.pair, kinds, n, (-phi, 0.0, 0.0), np.exp(1j * phi))
 
 
 def parity_gate(modes: tuple[int, ...], n_modes: int | None = None) -> FockOperator:
@@ -273,7 +322,7 @@ def parity_gate(modes: tuple[int, ...], n_modes: int | None = None) -> FockOpera
     masks = np.arange(1 << n)
     local = np.bitwise_count(masks & side_mask)
     diag = np.where(local % 2 == 0, -1.0, 1.0).astype(np.complex128)
-    return FockOperator(n, np.diag(diag), "unitary")
+    return _block_unitary(n, np.diag(diag), np.empty((0, 2), dtype=np.int64))
 
 
 def occupation_projector(mode: int, outcome: int, n_modes: int) -> FockOperator:
@@ -289,6 +338,15 @@ def occupation_projector(mode: int, outcome: int, n_modes: int) -> FockOperator:
 # ---------------------------------------------------------------------------
 # occupation measurements
 # ---------------------------------------------------------------------------
+
+def _born_weights(state: FockState) -> tuple[np.ndarray, float]:
+    """|amplitude|^2 per basis mask and their total; the zero state has no Born rule."""
+    weights = np.abs(state.vector) ** 2
+    total = float(np.sum(weights))
+    if total <= TOL_ZERO**2:
+        raise ZeroNormError("cannot measure the zero state")
+    return weights, total
+
 
 @dataclass(frozen=True)
 class MeasurementResult:
@@ -308,8 +366,7 @@ def measure_branch(state: FockState, mode: int, outcome: int) -> MeasurementResu
     vec = state.vector
     occupied = ((np.arange(state.dim) >> mode) & 1).astype(bool)
     keep = occupied if outcome else ~occupied
-    weights = np.abs(vec) ** 2
-    total = float(np.sum(weights))
+    weights, total = _born_weights(state)
     prob = float(np.sum(weights[keep])) / total
     if prob < TOL_ZERO:
         raise ImpossibleBranchError(
@@ -332,10 +389,9 @@ def measure_occupation(
     """Born-rule occupation measurement of one mode."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    vec = state.vector
     occupied = ((np.arange(state.dim) >> mode) & 1).astype(bool)
-    weights = np.abs(vec) ** 2
-    p_occupied = float(np.sum(weights[occupied])) / float(np.sum(weights))
+    weights, total = _born_weights(state)
+    p_occupied = float(np.sum(weights[occupied])) / total
     outcome = 1 if rng.random() < p_occupied else 0
     return measure_branch(state, mode, outcome)
 

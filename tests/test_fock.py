@@ -7,6 +7,7 @@ from fermient import (
     FockState,
     MixedParityError,
     NotNormalizedError,
+    OperatorPropertyError,
     WrongParityError,
     ZeroNormError,
     apply_annihilation,
@@ -267,3 +268,21 @@ def test_operator_check_rejects_non_finite_matrix():
     for kind in ("unitary", "hermitian", "projector"):
         with pytest.raises(DimensionMismatchError):
             FockOperator(2, bad.copy(), kind=kind)
+
+
+@pytest.mark.parametrize(
+    "kind, matrix",
+    [
+        ("unitary", creation_matrix(2, 0)),
+        ("hermitian", 1j * np.eye(4)),
+        ("projector", 2.0 * np.eye(4, dtype=np.complex128)),
+        ("unitary", np.diag([1.0, np.nan, 1.0, 1.0]).astype(np.complex128)),
+    ],
+)
+def test_failed_property_check_raises_operator_property_error(kind, matrix):
+    with pytest.raises(OperatorPropertyError, match=f"violates {kind} property"):
+        FockOperator(2, matrix, kind=kind)
+    # a wrong shape is still a plain dimension error
+    with pytest.raises(DimensionMismatchError) as info:
+        FockOperator(3, matrix, kind=kind)
+    assert not isinstance(info.value, OperatorPropertyError)

@@ -9,13 +9,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fermient.entanglement as ent
-from fermient import ModePartition, NotHermitianError, random_state
+from fermient import ModePartition, NotHermitianError, OperatorPropertyError, protocols, random_state
+from fermient.fock import number_matrix
 from fermient.entanglement import bipartite_entropy, majorization_check, reduced_state
 from fermient.linalg import hermitian_eigensystem
-from fermient.protocols import QubitEncoding, cnot, hadamard, pauli, rotation
+from fermient.protocols import QubitEncoding, cnot, hadamard, parity_gate, pauli, rotation
 from fermient.transforms import normal_form
 
-from conftest import oracle_cnot, oracle_pauli, oracle_reduced, oracle_rotation
+from conftest import oracle_cnot, oracle_exp, oracle_pauli, oracle_reduced, oracle_rotation
 
 #: Levels drawn from a short list repeat often, forcing degenerate eigenspaces.
 _LEVELS = st.one_of(
@@ -181,3 +182,91 @@ def test_gates_make_no_eigensolve(monkeypatch):
         for axis in "xyz":
             pauli(enc, axis, 5)
     assert eigensolves == []
+
+
+# ---------------------------------------------------------------------------
+# the blockwise unitarity check of the gates
+# ---------------------------------------------------------------------------
+
+_GATES = ("rotation", "rotation-both", "hadamard", "cnot", "cnot-both", "parity")
+
+
+def _gate_and_oracle(name, n, modes, kind, weights):
+    """A gate on the first one or two pairs of ``modes`` and its dense oracle."""
+    a, b, c, d = modes
+    enc = QubitEncoding((a, b), kind)
+    if name.startswith("rotation"):
+        both = name == "rotation-both"
+        return rotation(enc, weights, n, both), oracle_rotation((a, b), kind, weights, n, both)
+    if name == "hadamard":
+        w = math.pi / (2.0 * math.sqrt(2.0))
+        return hadamard(enc, n), 1j * oracle_rotation((a, b), kind, (-w, 0.0, w), n)
+    if name.startswith("cnot"):
+        both = name == "cnot-both"
+        gate = cnot(enc, QubitEncoding((c, d), kind), n, both)
+        return gate, oracle_cnot((a, b), (c, d), kind, n, both)
+    side = (c, a)
+    return parity_gate(side, n), -oracle_exp(math.pi * sum(number_matrix(n, m) for m in side))
+
+
+def _built_with_block_check(name, n, modes, kind, weights):
+    """Build a gate and record (matrix, pairs, defect) of each block check it ran."""
+    seen = []
+    original = protocols._block_defect
+
+    def spy(matrix, pairs):
+        defect = original(matrix, pairs)
+        seen.append((matrix.copy(), pairs, defect))
+        return defect
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocols, "_block_defect", spy)
+        gate, want = _gate_and_oracle(name, n, modes, kind, weights)
+    assert len(seen) == 1
+    return gate, want, seen[0]
+
+
+def _dense_defect(matrix: np.ndarray) -> float:
+    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
+
+
+@given(st.sampled_from(_GATES), distinct_modes(4), _KIND, st.tuples(_WEIGHT, _WEIGHT, _WEIGHT))
+@example("rotation", (6, (5, 0, 1, 2)), "odd", (0.0, 0.0, 0.0))
+@example("rotation-both", (4, (3, 1, 0, 2)), "even", (0.0, math.pi / 2, 0.0))
+@example("cnot-both", (6, (4, 1, 5, 0)), "odd", (0.0, 0.0, 0.0))
+@example("parity", (5, (0, 2, 4, 1)), "even", (0.0, 0.0, 0.0))
+def test_block_check_equals_dense_check(name, case, kind, weights):
+    n, modes = case
+    gate, want, (matrix, _, defect) = _built_with_block_check(name, n, modes, kind, weights)
+    assert np.array_equal(matrix, gate.matrix)
+    assert (gate.n_modes, gate.kind, gate.matrix.flags.writeable) == (n, "unitary", False)
+    assert abs(defect - _dense_defect(gate.matrix)) <= 1e-15
+    assert np.max(np.abs(gate.matrix - want)) <= _GATE_TOL
+
+
+@given(st.sampled_from(_GATES), distinct_modes(4), _KIND, st.tuples(_WEIGHT, _WEIGHT, _WEIGHT))
+def test_block_check_rejects_corrupted_gates(name, case, kind, weights):
+    n, modes = case
+    _, _, (matrix, pairs, _) = _built_with_block_check(name, n, modes, kind, weights)
+    # an entry inside a block: the largest of the first block, or a diagonal single
+    if len(pairs):
+        block = matrix[np.ix_(pairs[0], pairs[0])]
+        p, q = np.unravel_index(np.argmax(np.abs(block)), (2, 2))
+        inside = (pairs[0][p], pairs[0][q])
+    else:
+        inside = (0, 0)
+    # two masks in different blocks; singles are numbered after the pairs
+    block_of = len(pairs) + np.arange(1 << n)
+    block_of[pairs] = np.arange(len(pairs))[:, None]
+    outside = (0, int(np.flatnonzero(block_of != block_of[0])[0]))
+
+    scaled, twisted, stray, broken = (matrix.copy() for _ in range(4))
+    scaled[inside] *= 1.0 + 1e-8
+    twisted[inside] *= np.exp(1e-8j)  # keeps column norms, moves the off-diagonal of B^dag B
+    stray[outside] = 1e-6
+    broken[inside] = np.nan
+    for bent in (scaled, twisted):
+        assert abs(protocols._block_defect(bent, pairs) - _dense_defect(bent)) <= 1e-15
+    for bad in (scaled, stray, broken):
+        with pytest.raises(OperatorPropertyError):
+            protocols._block_unitary(n, bad, pairs)

@@ -1,11 +1,12 @@
 """Pair-encoded qubits, gates, measurements, teleportation, superdense coding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fermient import basis_state, make_state, protocols, vacuum_state
+from fermient import FockState, basis_state, make_state, protocols, vacuum_state
 from fermient.correlations import extended_density
 from fermient.entanglement import ModePartition, bipartite_entropy, concurrence, reduced_state
 from fermient.errors import (
@@ -15,6 +16,7 @@ from fermient.errors import (
     NotNormalizedError,
     OverlappingPairsError,
     UnknownStateError,
+    ZeroNormError,
 )
 from fermient.protocols import (
     MeasurementResult,
@@ -311,6 +313,14 @@ def test_impossible_branch_raises():
         measure_branch(state, 1, 1)
 
 
+def test_measuring_the_zero_state_raises_zero_norm_error():
+    zero = FockState(2, np.zeros(4), "even")
+    with pytest.raises(ZeroNormError):
+        measure_branch(zero, 0, 0)
+    with pytest.raises(ZeroNormError):
+        measure_occupation(zero, 0, seed=1)
+
+
 def test_occupation_projector_is_idempotent():
     proj = occupation_projector(2, 1, 4)
     m = proj.matrix
@@ -586,3 +596,66 @@ def test_cached_gate_arrays_are_read_only():
     assert set(protocols._SDC_UNITARIES) == {"00", "01", "10", "11"}
     for op in protocols._SDC_UNITARIES.values():
         assert not op.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# gates at n = 10
+# ---------------------------------------------------------------------------
+
+def _with_local(mask, pair, local):
+    """``mask`` with the pair's modes set to the local index (bit k = pair[k])."""
+    mask &= ~(1 << pair[0] | 1 << pair[1])
+    return mask | (local & 1) << pair[0] | (local >> 1) << pair[1]
+
+
+@pytest.mark.parametrize("kind", ["odd", "even"])
+def test_gates_at_ten_modes_act_by_their_logical_closed_forms(kind):
+    n, spectators = 10, mask_of(0, 2, 3, 7)
+    enc, other = QubitEncoding((4, 5), kind), QubitEncoding((8, 9), kind)
+    logical = enc.logical_indices
+    # exp(i w.sigma) on (|0_L>, |1_L>), where sigma_z = diag(-1, 1)
+    wx, wy, wz = weights = (0.3, -0.7, 0.5)
+    norm = math.sqrt(wx * wx + wy * wy + wz * wz)
+    gen = np.array([[-wz, wx + 1j * wy], [wx - 1j * wy, wz]])
+    logical_rotation = math.cos(norm) * np.eye(2) + 1j * math.sin(norm) / norm * gen
+    logical_hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    for gate, block in (
+        (rotation(enc, weights, n), logical_rotation),
+        (hadamard(enc, n), logical_hadamard),
+    ):
+        for bit in (0, 1):
+            column = gate.apply(basis_state(n, _with_local(spectators, enc.pair, logical[bit])))
+            want = np.zeros(1 << n, dtype=np.complex128)
+            for out_bit in (0, 1):
+                want[_with_local(spectators, enc.pair, logical[out_bit])] = block[out_bit, bit]
+            assert np.max(np.abs(column.vector - want)) < 1e-12
+    gate = cnot(enc, other, n)
+    for ctrl in (0, 1):
+        for tgt in (0, 1):
+            src = _with_local(spectators, enc.pair, logical[ctrl])
+            column = gate.apply(basis_state(n, _with_local(src, other.pair, logical[tgt])))
+            want = basis_state(n, _with_local(src, other.pair, logical[tgt ^ ctrl]))
+            assert np.max(np.abs(column.vector - want.vector)) < 1e-12
+
+
+def test_gate_check_allocates_no_second_dense_matrix():
+    odd, even = QubitEncoding((4, 5), "odd"), QubitEncoding((8, 9), "even")
+    builds = (
+        lambda: rotation(odd, (0.3, -0.7, 0.5), 10),
+        lambda: rotation(even, (0.3, -0.7, 0.5), 10, both_kinds=True),
+        lambda: hadamard(even, 10),
+        lambda: cnot(odd, QubitEncoding((0, 1), "odd"), 10),
+        lambda: cnot(even, QubitEncoding((0, 1), "even"), 10, both_kinds=True),
+        lambda: parity_gate((1, 2, 6), 10),
+    )
+    tracemalloc.start()
+    try:
+        for build in builds:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            gate = build()
+            # the gate matrix itself plus O(2^n) tables, never a second 2^n x 2^n array
+            assert tracemalloc.get_traced_memory()[1] - before < 1.5 * gate.matrix.nbytes
+            del gate
+    finally:
+        tracemalloc.stop()
