@@ -17,13 +17,14 @@ Two entropy conventions coexist deliberately and are NOT interchangeable:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import HermiticityDefectError
-from .fock import FockState, raw_apply
+from .fock import FockState, _op_tables
 from .linalg import Spectrum, hermitian_eigensystem
 
 __all__ = [
@@ -46,6 +47,39 @@ __all__ = [
 _EIG_TOL = 1e-9
 
 
+def _raise_first(
+    bad: np.ndarray, error: type[Exception], message: str, first: int | None, *details: np.ndarray
+) -> None:
+    """Raise ``error`` if any entry of ``bad`` is set, one entry per matrix of a stack.
+
+    The message is ``message`` formatted with the entries of ``details`` at the
+    first set index k. With ``first`` given it also names the sample ``first + k``.
+    """
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        k = int(hits[0])
+        text = message.format(*(d[k] for d in details))
+        raise error(text if first is None else f"{text} at sample {first + k}")
+
+
+def _check_one_body(rho: np.ndarray, kappa: np.ndarray, first: int | None = None) -> None:
+    """Hermitian rho, antisymmetric kappa, occupations in [0, 1]; stacks (S, n, n)."""
+    _raise_first(
+        np.max(np.abs(rho - rho.conj().swapaxes(1, 2)), axis=(1, 2)) > 1e-10,
+        HermiticityDefectError, "one-body matrix is not Hermitian", first,
+    )
+    _raise_first(
+        np.max(np.abs(kappa + kappa.swapaxes(1, 2)), axis=(1, 2)) > 1e-12,
+        HermiticityDefectError, "pair matrix is not antisymmetric", first,
+    )
+    occ = np.linalg.eigvalsh(rho)
+    low, high = occ[:, 0], occ[:, -1]
+    _raise_first(
+        (low < -_EIG_TOL) | (high > 1 + _EIG_TOL), HermiticityDefectError,
+        "occupation eigenvalues outside [0,1]: [{}, {}]", first, low, high,
+    )
+
+
 @dataclass(frozen=True)
 class OneBodyDensity:
     """Normal and anomalous one-body contractions of a pure state."""
@@ -54,15 +88,7 @@ class OneBodyDensity:
     kappa: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > 1e-10:
-            raise HermiticityDefectError("one-body matrix is not Hermitian")
-        if np.max(np.abs(self.kappa + self.kappa.T)) > 1e-12:
-            raise HermiticityDefectError("pair matrix is not antisymmetric")
-        occ = np.linalg.eigvalsh(self.rho)
-        if occ.min() < -_EIG_TOL or occ.max() > 1 + _EIG_TOL:
-            raise HermiticityDefectError(
-                f"occupation eigenvalues outside [0,1]: [{occ.min()}, {occ.max()}]"
-            )
+        _check_one_body(self.rho[None], self.kappa[None])
         self.rho.setflags(write=False)
         self.kappa.setflags(write=False)
 
@@ -88,22 +114,68 @@ class ExtendedDensity:
         return hermitian_eigensystem(self.m)
 
 
-def one_body(state: FockState) -> OneBodyDensity:
-    """Both one-body blocks, evaluated from annihilated/created vectors.
+@functools.cache
+def _mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of all n annihilators and creators, from ``fock._op_tables``.
 
-    rho[i, j] = <c_j psi | c_i psi> and kappa[i, j] = <cdag_j psi | c_i psi>,
+    Returns read-only int8 tables (c, cdag), each (n, 2^n), of -1, 0 or +1:
+    c_i maps amplitude ``v[m ^ (1 << i)]`` to ``c[i, m] * v[m ^ (1 << i)]`` at
+    mask m, and cdag_i likewise with ``cdag[i, m]``; 0 marks a mask the
+    operator does not reach.
+    """
+    tables = []
+    for dagger in (False, True):
+        coef = np.zeros((n, 1 << n), dtype=np.int8)
+        for i in range(n):
+            src, sign = _op_tables(n, i, dagger)
+            coef[i, src ^ (1 << i)] = sign
+        coef.setflags(write=False)
+        tables.append(coef)
+    return tables[0], tables[1]
+
+
+def _one_body_stack(vectors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """rho and kappa of every state vector in an (S, 2^n) stack, as (S, n, n) stacks.
+
+    rho[s, i, j] = <c_j psi | c_i psi> and kappa[s, i, j] = <cdag_j psi | c_i psi>,
     which equal <cdag_j c_i> and <c_j c_i> respectively.
     """
-    n = state.n_modes
-    v = state.vector
-    ann = np.array([raw_apply(v, n, i, dagger=False) for i in range(n)])
-    cre = np.array([raw_apply(v, n, i, dagger=True) for i in range(n)])
-    # row a of `ann` is c_a|psi>, so (ann.conj() @ ann.T)[j, i] = <cdag_j c_i>
-    rho = np.ascontiguousarray((ann.conj() @ ann.T).T)
-    kappa = np.ascontiguousarray((cre.conj() @ ann.T).T)
-    rho = (rho + rho.conj().T) / 2.0
-    kappa = (kappa - kappa.T) / 2.0
-    return OneBodyDensity(rho=rho, kappa=kappa)
+    c, cdag = _mode_tables(n)
+    # row [s, i] of ann is c_i applied to vectors[s], and of cre cdag_i
+    moved = vectors[:, np.arange(1 << n) ^ (1 << np.arange(n))[:, None]]
+    ann = c * moved
+    cre = np.multiply(moved, cdag, out=moved)  # reuses the gather's buffer
+    rho = ann @ ann.conj().swapaxes(1, 2)
+    kappa = ann @ cre.conj().swapaxes(1, 2)
+    rho = (rho + rho.conj().swapaxes(1, 2)) / 2.0
+    kappa = (kappa - kappa.swapaxes(1, 2)) / 2.0
+    return rho, kappa
+
+
+def _extended_stack(rho: np.ndarray, kappa: np.ndarray, first: int | None = None) -> np.ndarray:
+    """(S, 2n, 2n) extended matrices [[rho, kappa], [-conj(kappa), 1 - conj(rho)]].
+
+    Raises HermiticityDefectError if an assembled matrix deviates from
+    Hermiticity by more than 1e-10 (a bug upstream, not a user error).
+    """
+    s, n = rho.shape[0], rho.shape[1]
+    m = np.zeros((s, 2 * n, 2 * n), dtype=np.complex128)
+    m[:, :n, :n] = rho
+    m[:, :n, n:] = kappa
+    m[:, n:, :n] = -kappa.conj()
+    m[:, n:, n:] = np.eye(n) - rho.conj()
+    mh = m.conj().swapaxes(1, 2)
+    defect = np.max(np.abs(m - mh), axis=(1, 2))
+    _raise_first(
+        defect > 1e-10, HermiticityDefectError, "extended matrix defect {:.3e}", first, defect
+    )
+    return (m + mh) / 2.0
+
+
+def one_body(state: FockState) -> OneBodyDensity:
+    """Both one-body blocks of a state; a stack of one through ``_one_body_stack``."""
+    rho, kappa = _one_body_stack(state.vector[None], state.n_modes)
+    return OneBodyDensity(rho=rho[0], kappa=kappa[0])
 
 
 def extended_density(state: FockState) -> ExtendedDensity:
@@ -113,17 +185,7 @@ def extended_density(state: FockState) -> ExtendedDensity:
     Hermiticity by more than 1e-10 (a bug upstream, not a user error).
     """
     ob = one_body(state)
-    n = ob.n_modes
-    m = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    m[:n, :n] = ob.rho
-    m[:n, n:] = ob.kappa
-    m[n:, :n] = -ob.kappa.conj()
-    m[n:, n:] = np.eye(n) - ob.rho.conj()
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > 1e-10:
-        raise HermiticityDefectError(f"extended matrix defect {defect:.3e}")
-    m = (m + m.conj().T) / 2.0
-    return ExtendedDensity(m=m)
+    return ExtendedDensity(m=_extended_stack(ob.rho[None], ob.kappa[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -132,27 +194,49 @@ def extended_density(state: FockState) -> ExtendedDensity:
 
 
 def binary_entropy(p: float) -> float:
-    """h(p) = -p log2 p - (1-p) log2(1-p), with 0 log 0 := 0."""
+    """h(p) = -p log2 p - (1-p) log2(1-p), with 0 log 0 := 0; elementwise on arrays."""
     return von_neumann_term(p) + von_neumann_term(1.0 - p)
 
 
+def _float_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
 def von_neumann_term(p: float) -> float:
-    """f(p) = -p log2 p, clipped so spectral noise below 0 or above 1 is inert."""
-    p = min(max(float(p), 0.0), 1.0)
-    if p <= 0.0:
-        return 0.0
-    return -p * np.log2(p)
+    """f(p) = -p log2 p, clipped so spectral noise below 0 or above 1 is inert.
+
+    A scalar gives a float; an array gives an array of the same shape. NaN
+    stays NaN.
+    """
+    q = np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _float_or_array(np.where(q <= 0.0, 0.0, -q * np.log2(q)))
 
 
 def quadratic_term(p: float) -> float:
-    """f(p) = 2 p (1-p), the quadratic (linear-entropy) kernel."""
-    p = min(max(float(p), 0.0), 1.0)
-    return 2.0 * p * (1.0 - p)
+    """f(p) = 2 p (1-p), the quadratic (linear-entropy) kernel, clipped to [0, 1].
+
+    A scalar gives a float; an array gives an array of the same shape.
+    """
+    q = np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0)
+    return _float_or_array(2.0 * q * (1.0 - q))
+
+
+#: Entropy kernels that accept arrays; any other callable is applied element by element.
+_ARRAY_FORMS = (von_neumann_term, quadratic_term, binary_entropy)
+
+
+def _elementwise(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """fn applied to every entry of ``values``, in one call for the array forms."""
+    values = np.asarray(values, dtype=np.float64)
+    if fn in _ARRAY_FORMS:
+        return fn(values)
+    return np.vectorize(fn, otypes=[np.float64])(values)
 
 
 def spectrum_entropy(values: np.ndarray, fn: Callable[[float], float] = von_neumann_term) -> float:
-    """Sum of fn over a list of eigenvalues."""
-    return float(sum(fn(v) for v in np.asarray(values, dtype=np.float64)))
+    """Sum of fn over a list of eigenvalues; fn may be any scalar callable."""
+    return float(np.sum(_elementwise(fn, values)))
 
 
 def matrix_entropy(matrix: np.ndarray, fn: Callable[[float], float] = von_neumann_term) -> float:

@@ -9,14 +9,18 @@ side-local operators then agree with full-state expectations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .correlations import (
-    extended_density,
+    _check_one_body,
+    _elementwise,
+    _extended_stack,
+    _one_body_stack,
+    _raise_first,
     one_body,
     quadratic_term,
     spectrum_entropy,
@@ -30,8 +34,8 @@ from .errors import (
     WrongParityError,
     WrongShapeError,
 )
-from .fock import FockState, TOL_ZERO
-from .linalg import hermitian_eigensystem
+from .fock import FockState
+from .linalg import hermitian_eigenvalues
 
 __all__ = [
     "ModePartition",
@@ -44,6 +48,8 @@ __all__ = [
     "concurrence_odd",
     "local_parity_split",
     "majorization_check",
+    "majorization_stack",
+    "MajorizationStack",
     "schmidt_concurrence",
 ]
 
@@ -85,30 +91,46 @@ class ModePartition:
         object.__setattr__(self, "side_b", b)
 
 
+def _reduced_spectra(matrices: np.ndarray, first: int | None = None) -> np.ndarray:
+    """Eigenvalues, descending, of a stack (S, k, k) of reduced matrices.
+
+    Each matrix must be Hermitian with unit trace and no negative eigenvalue,
+    all within 1e-10; a failure raises FermionError (naming the sample
+    ``first + s`` when ``first`` is given).
+    """
+    m = matrices
+    _raise_first(
+        np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2)) > 1e-10,
+        FermionError, "reduced matrix is not Hermitian", first,
+    )
+    _raise_first(
+        np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0) > 1e-10,
+        FermionError, "reduced matrix trace differs from 1", first,
+    )
+    values = hermitian_eigenvalues(m)
+    _raise_first(
+        values[:, -1] < -1e-10, FermionError, "reduced matrix has a negative eigenvalue", first
+    )
+    return values
+
+
 @dataclass(frozen=True)
 class ReducedDensity:
-    """Reduced density matrix over the local occupation basis of one side."""
+    """Reduced density matrix over the local occupation basis of one side.
+
+    Construction checks the matrix and diagonalizes it once; ``spectrum()``
+    and ``entropy()`` share those eigenvalues.
+    """
 
     modes: tuple[int, ...]
     side: str
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise FermionError("reduced matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise FermionError("reduced matrix trace differs from 1")
-        m.setflags(write=False)
-        if self._values[-1] < -1e-10:
-            raise FermionError("reduced matrix has a negative eigenvalue")
-
-    @cached_property
-    def _values(self) -> np.ndarray:
-        """Eigenvalues, descending; the matrix is diagonalized once per instance."""
-        values = hermitian_eigensystem(self.matrix).values
+        values = _reduced_spectra(self.matrix[None])[0]
+        self.matrix.setflags(write=False)
         values.setflags(write=False)
-        return values
+        object.__setattr__(self, "_values", values)
 
     @property
     def dim(self) -> int:
@@ -121,15 +143,18 @@ class ReducedDensity:
         return spectrum_entropy(self._values, fn)
 
 
-def _coefficient_matrix(state: FockState, part: ModePartition) -> np.ndarray:
-    """Sign-dressed amplitudes as a (local A) x (local B) matrix."""
-    if part.n_modes != state.n_modes:
-        raise DimensionMismatchError(
-            f"partition of {part.n_modes} modes given a {state.n_modes}-mode state"
-        )
-    order = np.array(part.side_a + part.side_b)
-    n_a, n_b = len(part.side_a), len(part.side_b)
-    masks = np.flatnonzero(np.abs(state.vector) > TOL_ZERO)
+@functools.lru_cache(maxsize=64)
+def _partition_table(side_a: tuple[int, ...], side_b: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Where every basis mask lands in the coefficient matrix of a partition.
+
+    Returns read-only (flat, sign) over all 2^n masks: the amplitude of mask m
+    goes, times sign[m], to flat index flat[m] = a_index * 2^nB + b_index of
+    the (2^nA, 2^nB) matrix. The sign is the parity of the reordering of the
+    occupied modes from ascending order into partition order (A, then B).
+    """
+    order = np.array(side_a + side_b)
+    n_a, n_b = len(side_a), len(side_b)
+    masks = np.arange(1 << order.size)
     # occupation of each mask in partition order, one row per mask
     bits = (masks[:, None] >> order) & 1
     # pairs p < q of partition positions whose modes appear out of ascending order
@@ -137,9 +162,28 @@ def _coefficient_matrix(state: FockState, part: ModePartition) -> np.ndarray:
     inversions = np.sum((bits @ inverted) * bits, axis=1)
     a_idx = bits[:, :n_a] @ (1 << np.arange(n_a))
     b_idx = bits[:, n_a:] @ (1 << np.arange(n_b))
-    t = np.zeros((1 << n_a, 1 << n_b), dtype=np.complex128)
-    t[a_idx, b_idx] = np.where(inversions & 1, -1.0, 1.0) * state.vector[masks]
-    return t
+    flat = (a_idx << n_b) | b_idx
+    sign = np.where(inversions & 1, -1.0, 1.0)
+    flat.setflags(write=False)
+    sign.setflags(write=False)
+    return flat, sign
+
+
+def _coefficient_stack(vectors: np.ndarray, part: ModePartition) -> np.ndarray:
+    """Sign-dressed amplitudes of an (S, 2^n) stack as (S, local A, local B) matrices."""
+    if vectors.shape[1] != 1 << part.n_modes:
+        raise DimensionMismatchError(
+            f"partition of {part.n_modes} modes given states of {vectors.shape[1]} amplitudes"
+        )
+    flat, sign = _partition_table(part.side_a, part.side_b)
+    t = np.empty(vectors.shape, dtype=np.complex128)
+    t[:, flat] = sign * vectors
+    return t.reshape(len(vectors), 1 << len(part.side_a), 1 << len(part.side_b))
+
+
+def _coefficient_matrix(state: FockState, part: ModePartition) -> np.ndarray:
+    """Sign-dressed amplitudes as a (local A) x (local B) matrix."""
+    return _coefficient_stack(state.vector[None], part)[0]
 
 
 def reduced_state(state: FockState, part: ModePartition, side: str = "a") -> ReducedDensity:
@@ -281,20 +325,87 @@ def local_parity_split(state: FockState, part: ModePartition) -> LocalParitySpli
     return split
 
 
+class MajorizationStack(NamedTuple):
+    """Lemma-2 quantities of S four-mode states on P partitions.
+
+    ``lambda_max[s, p]`` is the largest eigenvalue of rho_A of state s on
+    partition p and ``f_plus[s]`` the mean of the top four extended-matrix
+    eigenvalues. For each name in REGISTERED_ENTROPIES, ``values[name][s, p]``
+    is S(rho_A) (checked equal to S(rho_B)) and ``bounds[name][s]`` is a
+    quarter of the entropy of the extended spectrum.
+    """
+
+    lambda_max: np.ndarray
+    f_plus: np.ndarray
+    values: dict[str, np.ndarray]
+    bounds: dict[str, np.ndarray]
+
+
+def majorization_stack(
+    vectors: np.ndarray, parts: Sequence[ModePartition], first: int = 0
+) -> MajorizationStack:
+    """The quantities of Lemma 2 for a stack of four-mode states, in one pass.
+
+    ``vectors`` is an (S, 16) stack of state vectors. The one-body, extended
+    and reduced matrices of all states are built and diagonalized as stacks.
+    Every check of ``one_body``, ``extended_density`` and ``reduced_state``
+    runs on each matrix at the same tolerance, as does S(rho_A) = S(rho_B); a
+    failure raises the same FermionError subclass and names the sample index,
+    counted from ``first``.
+    """
+    vectors = np.asarray(vectors, dtype=np.complex128)
+    if vectors.ndim != 2 or vectors.shape[1] != 16:
+        raise DimensionMismatchError(
+            f"expected an (S, 16) stack of four-mode states, got shape {vectors.shape}"
+        )
+    # reduced-state checks come first, so an unnormalized state fails on its trace
+    spectra = []
+    for part in parts:
+        t = _coefficient_stack(vectors, part)
+        spec_a = _reduced_spectra(t @ t.conj().swapaxes(1, 2), first)
+        spectra.append((spec_a, _reduced_spectra(t.swapaxes(1, 2) @ t.conj(), first)))
+    rho, kappa = _one_body_stack(vectors, 4)
+    _check_one_body(rho, kappa, first)
+    extended = hermitian_eigenvalues(_extended_stack(rho, kappa, first))
+    shape = (len(vectors), len(parts))
+    lambda_max = np.empty(shape)
+    values = {name: np.empty(shape) for name in REGISTERED_ENTROPIES}
+    for p, (spec_a, spec_b) in enumerate(spectra):
+        lambda_max[:, p] = spec_a[:, 0]
+        for name, fn in REGISTERED_ENTROPIES.items():
+            s_a = _elementwise(fn, spec_a).sum(axis=1)
+            s_b = _elementwise(fn, spec_b).sum(axis=1)
+            _raise_first(
+                np.abs(s_a - s_b) > _ENTROPY_MATCH_TOL,
+                SideMismatchError, "side entropies differ: {} vs {}", first, s_a, s_b,
+            )
+            values[name][:, p] = s_a
+    bounds = {
+        name: _elementwise(fn, extended).sum(axis=1) / 4.0
+        for name, fn in REGISTERED_ENTROPIES.items()
+    }
+    return MajorizationStack(
+        lambda_max=lambda_max,
+        f_plus=extended[:, :4].mean(axis=1),
+        values=values,
+        bounds=bounds,
+    )
+
+
 def majorization_check(state: FockState, part: ModePartition) -> dict:
-    """Verdict on lambda_max(rho_A) <= f_+ and the quarter-entropy bounds."""
+    """Verdict on lambda_max(rho_A) <= f_+ and the quarter-entropy bounds.
+
+    A stack of one through ``majorization_stack``.
+    """
     _require_four_modes(state)
-    rho_a = reduced_state(state, part, "a")
-    rho_b = reduced_state(state, part, "b")
-    values = extended_density(state).spectrum().values
-    lam = float(rho_a.spectrum()[0])
-    f_plus = float(np.mean(values[:4]))
-    lam_holds = lam <= f_plus + 1e-9
+    batch = majorization_stack(state.vector[None], [part])
+    lam = float(batch.lambda_max[0, 0])
+    f_plus = float(batch.f_plus[0])
+    all_hold = lam <= f_plus + 1e-9
     entropies = {}
-    all_hold = lam_holds
-    for name, fn in REGISTERED_ENTROPIES.items():
-        value = _matched_entropy(rho_a, rho_b, fn)
-        bound = spectrum_entropy(values, fn) / 4.0
+    for name in REGISTERED_ENTROPIES:
+        value = float(batch.values[name][0, 0])
+        bound = float(batch.bounds[name][0])
         holds = value >= bound - 1e-9
         all_hold = all_hold and holds
         entropies[name] = {"value": value, "bound": bound, "holds": holds}

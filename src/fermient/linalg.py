@@ -1,9 +1,12 @@
 """Hermitian eigensolver used throughout the package.
 
-A checked front end to LAPACK (``numpy.linalg.eigh``): it rejects input that
-is not Hermitian within HERMITICITY_TOL and returns eigenvalues in descending
-order. It serves every size the package diagonalizes, from 2x2 reduced
-states to the 2^n x 2^n Fock-space operators of ``transforms.lift_to_fock``.
+A checked front end to LAPACK: both functions reject input that is not
+Hermitian within HERMITICITY_TOL and return eigenvalues in descending order.
+``hermitian_eigensystem`` (``numpy.linalg.eigh``) diagonalizes one matrix, up
+to the 2^n x 2^n Fock-space operators of ``transforms.lift_to_fock``.
+``hermitian_eigenvalues`` (``numpy.linalg.eigvalsh``) returns only the
+eigenvalues of a stack of matrices, such as the reduced states of the
+Lemma-2 sweep, from one batched call.
 """
 
 from __future__ import annotations
@@ -30,6 +33,25 @@ class Spectrum:
     vectors: np.ndarray
 
 
+def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
+    """(M + M^H)/2 of each matrix on the last two axes, after the Hermiticity check.
+
+    A failed check of a stack names the index of the first offending matrix.
+    """
+    a = np.asarray(matrix, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NotHermitianError(f"expected square matrices, got shape {a.shape}")
+    ah = a.conj().swapaxes(-1, -2)
+    defect = np.max(np.abs(a - ah), axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(defect > HERMITICITY_TOL)
+    if bad.size:
+        where = f" in matrix {bad[0]}" if a.ndim > 2 else ""
+        raise NotHermitianError(
+            f"hermiticity defect {defect.flat[bad[0]]:.3e} exceeds tolerance{where}"
+        )
+    return (a + ah) / 2.0
+
+
 def hermitian_eigensystem(matrix: np.ndarray) -> Spectrum:
     """Diagonalize the Hermitian part of a matrix that is Hermitian within tolerance.
 
@@ -48,11 +70,22 @@ def hermitian_eigensystem(matrix: np.ndarray) -> Spectrum:
     NotHermitianError
         Input fails the Hermiticity check.
     """
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
-    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if defect > HERMITICITY_TOL:
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
-    values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
+    if np.ndim(matrix) != 2:
+        raise NotHermitianError(f"expected a square matrix, got shape {np.shape(matrix)}")
+    values, vectors = np.linalg.eigh(_hermitian_part(matrix))
     return Spectrum(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
+
+
+def hermitian_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of matrices, each Hermitian within tolerance.
+
+    ``stack`` has shape (..., k, k); the result has shape (..., k), descending
+    along the last axis. One batched LAPACK call serves the whole stack, and
+    the Hermiticity check is the one ``hermitian_eigensystem`` applies.
+
+    Raises
+    ------
+    NotHermitianError
+        A matrix of the stack fails the Hermiticity check.
+    """
+    return np.linalg.eigvalsh(_hermitian_part(stack))[..., ::-1].copy()

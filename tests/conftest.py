@@ -99,3 +99,23 @@ def oracle_cnot(control, target, kind, n_modes, both_kinds=False):
         ctrl = eye + oracle_pauli(control, kind, "z", n_modes)
         tgt = eye - oracle_pauli(target, kind, "x", n_modes)
     return oracle_exp((math.pi / 4.0) * ctrl @ tgt)
+
+
+def oracle_extended_spectrum(vector, n_modes):
+    """Extended-matrix eigenvalues, descending, from dense entry-by-entry mode operators."""
+    c = [oracle_annihilation_matrix(n_modes, i) for i in range(n_modes)]
+    v = np.asarray(vector, dtype=complex)
+    rho = np.array([[v.conj() @ c[j].conj().T @ c[i] @ v for j in range(n_modes)]
+                    for i in range(n_modes)])
+    kappa = np.array([[v.conj() @ c[j] @ c[i] @ v for j in range(n_modes)]
+                      for i in range(n_modes)])
+    m = np.block([[rho, kappa], [-kappa.conj(), np.eye(n_modes) - rho.conj()]])
+    return np.linalg.eigvalsh(m)[::-1]
+
+
+def oracle_entropies(spectrum):
+    """(von Neumann, quadratic) entropies of a spectrum, eigenvalues clipped to [0, 1]."""
+    p = [min(max(float(x), 0.0), 1.0) for x in spectrum]
+    von_neumann = -sum(x * math.log2(x) for x in p if x > 0.0)
+    quadratic = sum(2.0 * x * (1.0 - x) for x in p)
+    return von_neumann, quadratic

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fermient import basis_state, make_state, random_state
+from fermient import basis_state, cli, make_state, random_state
 from fermient.cli import main
 from fermient.correlations import extended_density, one_body
 from fermient.io import dump_state, load_state, state_from_dict
@@ -140,6 +140,22 @@ def test_check_lemma2_is_deterministic(capsys):
     assert first == second
     _, third, _ = run_cli(capsys, "check-lemma2", "--samples", "12", "--seed", "6")
     assert third != first
+
+
+def test_check_lemma2_chunks_give_the_same_report(capsys, monkeypatch):
+    _, whole, _ = run_cli(capsys, "check-lemma2", "--samples", "10", "--seed", "9")
+    firsts = []
+    stack = cli.majorization_stack
+
+    def spy(vectors, parts, first):
+        firsts.append((first, len(vectors)))
+        return stack(vectors, parts, first)
+
+    monkeypatch.setattr(cli, "_LEMMA_CHUNK", 4)
+    monkeypatch.setattr(cli, "majorization_stack", spy)
+    _, chunked, _ = run_cli(capsys, "check-lemma2", "--samples", "10", "--seed", "9")
+    assert firsts == [(0, 4), (4, 4), (8, 2)]
+    assert chunked == whole
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

@@ -151,6 +151,14 @@ def test_entropy_kernels():
     assert spectrum_entropy([0.5, 0.5]) == pytest.approx(1.0)
 
 
+def test_spectrum_entropy_accepts_scalar_only_callables():
+    def step(p):
+        return 1.0 if p > 0.25 else 0.0  # truth test of an array would raise
+
+    assert spectrum_entropy([0.1, 0.5, 0.9], step) == 2.0
+    assert spectrum_entropy(np.array([0.5, 0.5])) == 1.0
+
+
 def test_sp_entropy_values():
     assert sp_entropy(basis_state(4, 0b0101)) == pytest.approx(0.0, abs=1e-12)
     st = bell_type_state()

@@ -1,4 +1,5 @@
-"""Property tests for the eigensolver, the fermionic partial trace and the gates."""
+"""Property tests for the eigensolver, the fermionic partial trace, the Lemma-2
+batch, the entropy kernels and the gates."""
 
 import math
 import sys
@@ -8,15 +9,41 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import fermient.entanglement as ent
-from fermient import ModePartition, NotHermitianError, OperatorPropertyError, protocols, random_state
+from fermient import (
+    FermionError,
+    ModePartition,
+    NotHermitianError,
+    OperatorPropertyError,
+    basis_state,
+    cli,
+    concurrence,
+    lift_to_fock,
+    make_state,
+    protocols,
+    random_bogoliubov,
+    random_state,
+)
+from fermient.correlations import binary_entropy, quadratic_term, von_neumann_term
+from fermient.entanglement import (
+    bipartite_entropy,
+    majorization_check,
+    majorization_stack,
+    reduced_state,
+)
 from fermient.fock import number_matrix
-from fermient.entanglement import bipartite_entropy, majorization_check, reduced_state
 from fermient.linalg import hermitian_eigensystem
 from fermient.protocols import QubitEncoding, cnot, hadamard, parity_gate, pauli, rotation
 from fermient.transforms import normal_form
 
-from conftest import oracle_cnot, oracle_exp, oracle_pauli, oracle_reduced, oracle_rotation
+from conftest import (
+    oracle_cnot,
+    oracle_entropies,
+    oracle_exp,
+    oracle_extended_spectrum,
+    oracle_pauli,
+    oracle_reduced,
+    oracle_rotation,
+)
 
 #: Levels drawn from a short list repeat often, forcing degenerate eigenspaces.
 _LEVELS = st.one_of(
@@ -87,27 +114,37 @@ def _counting(calls: list, fn):
 
 
 def _count_eigensolves(monkeypatch) -> list:
-    """Record the input shape of every eigensolve made through any package module."""
+    """Record the input shape of every eigensolve made through any package module.
+
+    Counts both the single-matrix ``hermitian_eigensystem`` and the stacked
+    ``hermitian_eigenvalues``.
+    """
     calls: list = []
     for module in [m for name, m in sys.modules.items() if name.startswith("fermient.")]:
-        if hasattr(module, "hermitian_eigensystem"):
-            monkeypatch.setattr(
-                module, "hermitian_eigensystem", _counting(calls, module.hermitian_eigensystem)
-            )
+        for name in ("hermitian_eigensystem", "hermitian_eigenvalues"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _counting(calls, getattr(module, name)))
     return calls
 
 
 def test_majorization_check_diagonalizes_each_matrix_once(monkeypatch):
     eigensolves = _count_eigensolves(monkeypatch)
-    calls: dict[str, list] = {"reduced_state": [], "extended_density": []}
-    for name in calls:
-        monkeypatch.setattr(ent, name, _counting(calls[name], getattr(ent, name)))
-
     verdict = majorization_check(random_state(4, seed=5), ModePartition(4, (0, 2)))
     assert verdict["holds"]
-    assert eigensolves == [(4, 4), (4, 4), (8, 8)]
-    assert len(calls["reduced_state"]) == 2
-    assert len(calls["extended_density"]) == 1
+    # a stack of one: rho_A and rho_B, then the extended matrix
+    assert eigensolves == [(1, 4, 4), (1, 4, 4), (1, 8, 8)]
+
+
+def test_check_lemma2_eigensolves_do_not_grow_with_samples(monkeypatch, capsys):
+    counts = []
+    for samples in (2, 40):
+        eigensolves = _count_eigensolves(monkeypatch)
+        assert cli.main(["check-lemma2", "--samples", str(samples), "--seed", "1"]) == 0
+        counts.append(len(eigensolves))
+        monkeypatch.undo()
+    capsys.readouterr()
+    # rho_A and rho_B stacks for each of the 7 partitions, then one extended stack
+    assert counts == [15, 15]
 
 
 def test_normal_form_diagonalizes_the_extended_matrix_once(monkeypatch):
@@ -115,6 +152,123 @@ def test_normal_form_diagonalizes_the_extended_matrix_once(monkeypatch):
     normal_form(random_state(4, parity="even", seed=3))
     # one 8x8 extended spectrum, then one 16x16 number operator per lift
     assert eigensolves == [(8, 8), (16, 16), (16, 16)]
+
+
+# ---------------------------------------------------------------------------
+# the Lemma-2 batch against the per-state loop oracle
+# ---------------------------------------------------------------------------
+
+#: the 2+2 and 1+3 splits of check-lemma2, a 3+1 split and a reversed listing
+_LEMMA_SIDES = ((0, 1), (0, 2), (0, 3), (0,), (1,), (2,), (3,), (0, 1, 2), (3, 1))
+_LEMMA_KINDS = ("random", "product", "maximal", "sparse")
+
+
+def _lemma_state(kind: str, parity: str, rng: np.random.Generator):
+    """A four-mode state of one kind; Bogoliubov images keep C = 0 and C = 1."""
+    if kind == "random":
+        return random_state(4, parity=parity, rng=rng)
+    if kind == "sparse":
+        vec = random_state(4, parity=parity, rng=rng).vector.copy()
+        sector = np.flatnonzero(np.abs(vec) > 0.0)
+        vec[rng.choice(sector, size=rng.integers(1, sector.size), replace=False)] = 0.0
+        return make_state(4, vec)
+    rotate = lift_to_fock(random_bogoliubov(4, rng=rng), 4)
+    if kind == "product":
+        mask = rng.choice([m for m in range(16) if bin(m).count("1") % 2 == (parity == "odd")])
+        return rotate.apply(basis_state(4, int(mask)))
+    pair = (0b0011, 0b1100) if parity == "even" else (0b0001, 0b1110)
+    phase = np.exp(2j * np.pi * rng.random())
+    return rotate.apply(make_state(4, {pair[0]: 1.0, pair[1]: phase}))
+
+
+@st.composite
+def lemma_stacks(draw) -> list:
+    """One state of every kind, in a drawn order, each with a drawn parity."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.permutations(_LEMMA_KINDS))
+    parities = draw(st.lists(st.sampled_from(["even", "odd"]), min_size=4, max_size=4))
+    return [(kind, _lemma_state(kind, parity, rng)) for kind, parity in zip(kinds, parities)]
+
+
+@given(lemma_stacks(), st.lists(st.sampled_from(_LEMMA_SIDES), min_size=1, max_size=4, unique=True))
+def test_majorization_stack_matches_loop_oracle(stack, sides):
+    parts = [ModePartition(4, side) for side in sides]
+    batch = majorization_stack(np.array([state.vector for _, state in stack]), parts)
+    for s, (kind, state) in enumerate(stack):
+        if kind in ("product", "maximal"):
+            assert abs(concurrence(state) - (kind == "maximal")) <= 1e-9
+        extended = oracle_extended_spectrum(state.vector, 4)
+        assert abs(batch.f_plus[s] - np.mean(extended[:4])) <= 1e-12
+        bounds = [value / 4.0 for value in oracle_entropies(extended)]
+        for p, part in enumerate(parts):
+            spectrum = np.linalg.eigvalsh(oracle_reduced(state, part))[::-1]
+            assert abs(batch.lambda_max[s, p] - spectrum[0]) <= 1e-12
+            for (name, values), value, bound in zip(
+                batch.values.items(), oracle_entropies(spectrum), bounds
+            ):
+                assert abs(values[s, p] - value) <= 1e-12
+                assert abs(batch.bounds[name][s] - bound) <= 1e-12
+            # the single-state check is a stack of one through the same kernel
+            verdict = majorization_check(state, part)
+            assert verdict["lambda_max"] == batch.lambda_max[s, p]
+            assert verdict["f_plus"] == batch.f_plus[s]
+            for name, entry in verdict["entropies"].items():
+                assert entry["value"] == batch.values[name][s, p]
+                assert entry["bound"] == batch.bounds[name][s]
+
+
+def test_majorization_stack_names_the_failing_sample():
+    vectors = np.array([random_state(4, parity=("even", "odd")[k % 2], seed=k).vector
+                        for k in range(6)])
+    parts = [ModePartition(4, side) for side in _LEMMA_SIDES]
+    for bad in (0, 3, 5):
+        scaled = vectors.copy()
+        scaled[bad] *= 1.1
+        with pytest.raises(FermionError, match=f"trace differs from 1 at sample {100 + bad}$"):
+            majorization_stack(scaled, parts, first=100)
+
+
+_PROBABILITY = st.one_of(
+    st.sampled_from([
+        math.nextafter(0.0, -1.0), -1e-17, -0.0, 0.0, 5e-324,
+        1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-12, math.nan, math.inf, -math.inf,
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _clipped(p: float) -> float:
+    return min(max(float(p), 0.0), 1.0)  # Python's min and max keep NaN
+
+
+def _reference_von_neumann(p: float) -> float:
+    p = _clipped(p)
+    return 0.0 if p <= 0.0 else float(-p * np.log2(p))
+
+
+def _reference_quadratic(p: float) -> float:
+    p = _clipped(p)
+    return 2.0 * p * (1.0 - p)
+
+
+def _reference_binary(p: float) -> float:
+    return _reference_von_neumann(p) + _reference_von_neumann(1.0 - p)
+
+
+@given(st.lists(_PROBABILITY, max_size=12))
+@example([math.nextafter(0.0, -1.0), 0.0, 1.0, math.nextafter(1.0, 2.0), math.nan])
+def test_entropy_kernels_array_form_equals_scalar_form(ps):
+    for fn, reference in (
+        (von_neumann_term, _reference_von_neumann),
+        (quadratic_term, _reference_quadratic),
+        (binary_entropy, _reference_binary),
+    ):
+        scalars = [fn(p) for p in ps]
+        assert all(type(value) is float for value in scalars)
+        np.testing.assert_array_equal(np.array(scalars), [reference(p) for p in ps])
+        array = fn(np.array(ps, dtype=np.float64))
+        assert isinstance(array, np.ndarray) and array.shape == (len(ps),)
+        np.testing.assert_array_equal(array, np.array(scalars))
 
 
 # ---------------------------------------------------------------------------
