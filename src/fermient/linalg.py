@@ -43,7 +43,7 @@ def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
         raise NotHermitianError(f"expected square matrices, got shape {a.shape}")
     ah = a.conj().swapaxes(-1, -2)
     defect = np.max(np.abs(a - ah), axis=(-2, -1), initial=0.0)
-    bad = np.flatnonzero(defect > HERMITICITY_TOL)
+    bad = np.flatnonzero(~(defect <= HERMITICITY_TOL))
     if bad.size:
         where = f" in matrix {bad[0]}" if a.ndim > 2 else ""
         raise NotHermitianError(

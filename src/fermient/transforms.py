@@ -7,10 +7,17 @@ V[k,i] cdag_k``. Stacked as ``(a; adag) = W^dag (c; cdag)`` with
 
 ``lift_to_fock`` realizes a map as the 2^n x 2^n unitary that conjugates mode
 operators into quasiparticle operators; its global phase is pinned by making
-the largest-magnitude amplitude of the new vacuum real positive (ties broken
-toward the lowest mask). Composing a diagonal phase map therefore multiplies
-transformed amplitudes by predictable pure phases, which is what the
-normal-form construction uses to make its two surviving amplitudes real.
+the largest-magnitude amplitude of the new vacuum real positive (magnitudes
+within TOL_ZERO of the largest tie, and the lowest mask wins).
+
+``normal_form`` takes one route for every four-mode state: a core map from
+the invariant bilinear in the magic basis (Hill & Wootters), then one lift
+for the state's amplitudes phi in that basis (odd input needs one more, for
+its particle-hole pre-map). The two maps composed after the core keep the
+vacuum, so they act on phi in closed form: the swap of quasiparticle pairs
+(0, 1) <-> (2, 3) gives phi'[m] = (-1)^(popcount(m & 3) popcount(m >> 2))
+phi[(m & 3) << 2 | m >> 2], and the phase map diag(exp(-i theta)) gives
+phi'[m] = phi[m] exp(i sum_k theta_k bit_k(m)).
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .fock import (
     annihilation_matrix,
     creation_matrix,
     make_state,
-    vector_parity,
 )
 from .linalg import Spectrum, hermitian_eigensystem
 
@@ -56,9 +62,6 @@ __all__ = [
 _MAP_TOL = 1e-10
 _LIFT_TOL = 1e-9
 _RESIDUAL_TOL = 1e-8
-#: Below this f_+ - f_- gap the eigenvector route is ill-conditioned and the
-#: invariant-bilinear route takes over.
-_GAP_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,8 @@ def validate_bogoliubov(U: np.ndarray, V: np.ndarray) -> BogoliubovMap:
     m = BogoliubovMap(U=U.copy(), V=V.copy())
     w = m.w_matrix()
     r3 = np.max(np.abs(w.conj().T @ w - np.eye(2 * n)))
-    worst = float(max(r1, r2, r3))
-    if worst > _MAP_TOL:
+    worst = float(np.max([r1, r2, r3]))
+    if not worst <= _MAP_TOL:
         raise NotSymplecticError(f"constraint residual {worst:.3e} exceeds {_MAP_TOL}")
     return m
 
@@ -185,7 +188,9 @@ def lift_to_fock(bmap: BogoliubovMap, n_modes: int) -> FockOperator:
     The returned operator satisfies ``Ue c_i Ue^dag = a_i`` as dense matrices,
     with residual below 1e-9. Column ``m`` is the ascending quasiparticle
     string ``adag_{i1} ... adag_{ik}`` applied to the new vacuum; the vacuum
-    phase is fixed by making its largest-magnitude amplitude real positive.
+    phase is fixed by making its largest-magnitude amplitude real positive,
+    where magnitudes within TOL_ZERO of the largest tie and the lowest mask
+    wins, so that rounding cannot move the anchor.
 
     Raises LiftFailureError if no vector is annihilated by every a_i or if the
     construction fails its unitarity/conjugation checks.
@@ -203,7 +208,8 @@ def lift_to_fock(bmap: BogoliubovMap, n_modes: int) -> FockOperator:
             f"no quasiparticle vacuum: smallest occupation {spec.values[-1]:.3e}"
         )
     vacuum = spec.vectors[:, -1]
-    anchor = int(np.argmax(np.abs(vacuum)))
+    size = np.abs(vacuum)
+    anchor = int(np.flatnonzero(size >= size.max() - TOL_ZERO)[0])
     vacuum = vacuum * (np.abs(vacuum[anchor]) / vacuum[anchor])
 
     cols = np.zeros((dim, dim), dtype=np.complex128)
@@ -253,7 +259,9 @@ PAIRINGS = {
 
 _EVEN_MASKS = (0, 3, 5, 6, 9, 10, 12, 15)
 #: Complement pairs of even masks and the sign each contributes to the
-#: concurrence quartic: C = |z^T Q z| over even-sector amplitudes z.
+#: invariant bilinear z^T Q z over even-sector amplitudes z, whose modulus is
+#: the concurrence. The magic basis M has M^T Q M = 1, so the bilinear is c^T c
+#: in magic coordinates c = M^H z.
 _MAGIC_PAIRS = (((3, 12), 1.0), ((5, 10), -1.0), ((9, 6), 1.0), ((0, 15), -1.0))
 
 
@@ -294,92 +302,54 @@ def _assemble_pairing_map(spec: Spectrum) -> BogoliubovMap:
     ``spec`` is the spectrum of the 8x8 extended matrix, eigenvalues descending.
     """
     e_plus = spec.vectors[:, :4]
-    e_minus = spec.vectors[:, 4:]
-    w3 = e_minus[:, 0]
-    w4 = e_minus[:, 1]
-    t3 = _swap_halves(w3.conj())
-    t4 = _swap_halves(w4.conj())
+    w3 = spec.vectors[:, 4]
+    w4 = spec.vectors[:, 5]
     # coordinates of the conjugated pair inside the f_+ eigenspace
-    b = e_plus.conj().T @ np.column_stack([t3, t4])
+    b = e_plus.conj().T @ np.column_stack([_swap_halves(w3.conj()), _swap_halves(w4.conj())])
     u, _, _ = np.linalg.svd(b)
-    coords = u[:, 2:]
-    w1 = e_plus @ coords[:, 0]
-    w2 = e_plus @ coords[:, 1]
-    cols = np.column_stack(
-        [
-            w1,
-            w2,
-            w3,
-            w4,
-            _swap_halves(w1.conj()),
-            _swap_halves(w2.conj()),
-            t3,
-            t4,
-        ]
-    )
-    return validate_bogoliubov(cols[:4, :4], np.conj(cols[4:, :4]))
+    cols = np.column_stack([e_plus @ u[:, 2], e_plus @ u[:, 3], w3, w4])
+    return validate_bogoliubov(cols[:4], np.conj(cols[4:]))
 
 
 def _magic_matrix() -> np.ndarray:
     m = np.zeros((8, 8), dtype=np.complex128)
-    idx = {mask: k for k, mask in enumerate(_EVEN_MASKS)}
-    col = 0
-    for (a, b), sign in _MAGIC_PAIRS:
-        phase = np.exp(-1j * np.pi / 4) if sign > 0 else np.exp(1j * np.pi / 4)
-        block = phase / np.sqrt(2) * np.array([[1.0, 1j], [1j, 1.0]])
-        rows = (idx[a], idx[b])
-        for bi in range(2):
-            m[rows[0], col + bi] = block[0, bi]
-            m[rows[1], col + bi] = block[1, bi]
-        col += 2
+    block = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2)
+    for k, ((a, b), sign) in enumerate(_MAGIC_PAIRS):
+        rows = [_EVEN_MASKS.index(a), _EVEN_MASKS.index(b)]
+        m[np.ix_(rows, [2 * k, 2 * k + 1])] = np.exp(-1j * sign * np.pi / 4) * block
     return m
 
 
-def _magic_q() -> np.ndarray:
-    q = np.zeros((8, 8))
-    idx = {mask: k for k, mask in enumerate(_EVEN_MASKS)}
-    for (a, b), sign in _MAGIC_PAIRS:
-        q[idx[a], idx[b]] = sign
-        q[idx[b], idx[a]] = sign
-    return q
+def _core_map(state: FockState) -> BogoliubovMap:
+    """Map sending an even four-mode state onto the plane of masks {0b0011, 0b1100}.
 
-
-def _even_sector(vec: np.ndarray) -> np.ndarray:
-    return np.array([vec[m] for m in _EVEN_MASKS], dtype=np.complex128)
-
-
-def _degenerate_seed_map(state: FockState) -> BogoliubovMap:
-    """Diagonalizing map for states with f_+ ~ f_- (concurrence near 1).
-
-    Works in invariant-bilinear coordinates of the even sector, where every
-    lift acts as a real rotation times a phase: an auxiliary state sharing the
-    state's two real coordinate vectors but with a healthy spectral gap is
-    normal-formed by the eigenvector route, and the resulting map sends the
-    original state onto the same two-mask plane.
+    Works in the magic basis of the even sector (Hill & Wootters), where every
+    lift acts as a real rotation times a phase. After a global phase that makes
+    the invariant bilinear z^T Q z real, the real and imaginary coordinate
+    vectors of the state are orthogonal. An auxiliary state on the same real
+    plane, with concurrence 1 - 2 delta = 0.96 and so f_+ - f_- = 0.28, is
+    normal-formed from the eigenvector quartets of its extended matrix; that
+    map sends the whole plane, and with it the state, onto the two masks.
     """
     m = _magic_matrix()
-    q = _magic_q()
-    z = _even_sector(state.vector)
-    bil = complex(z @ q @ z)
+    c = m.conj().T @ state.vector[list(_EVEN_MASKS)]
+    bil = complex(c @ c)
     chi = -np.angle(bil) / 2.0 if abs(bil) > TOL_ZERO else 0.0
-    z = z * np.exp(1j * chi)
-    c = m.conj().T @ z
+    c = c * np.exp(1j * chi)
     x = np.real(c)
     y = np.imag(c)
     xn = np.linalg.norm(x)
     if xn <= TOL_ZERO:
-        raise LiftFailureError("degenerate route lost the dominant coordinate")
+        raise LiftFailureError("normal form lost the dominant magic coordinate")
     xh = x / xn
     yn = np.linalg.norm(y)
     if yn >= 1e-9:
         u = y / yn
-        u = u - (u @ xh) * xh
-        u /= np.linalg.norm(u)
     else:
         u = np.zeros(8)
         u[int(np.argmin(np.abs(xh)))] = 1.0
-        u = u - (u @ xh) * xh
-        u /= np.linalg.norm(u)
+    u = u - (u @ xh) * xh
+    u /= np.linalg.norm(u)
     delta = 0.02
     c_aux = np.sqrt(1 - delta) * xh + 1j * np.sqrt(delta) * u
     z_aux = m @ c_aux
@@ -395,6 +365,13 @@ def normal_form(state: FockState) -> SchmidtForm:
     eigenvalues of the extended one-body matrix. Odd-parity input is first
     converted to even parity by a particle-hole transform on mode 0, which the
     returned composite map includes.
+
+    Every state takes one route: the core map (``_core_map``), one lift for
+    the amplitudes phi and the off-plane residual check on them, then the
+    swap (when |phi[0b0011]| < |phi[0b1100]|) and the phase fix applied to phi
+    in closed form (module docstring), their maps still composed into ``map``.
+    alpha_plus and alpha_minus are the magnitudes that decided the swap,
+    written into the transformed vector exactly.
     """
     if state.n_modes != 4:
         raise DimensionMismatchError("normal form is defined for 4 modes")
@@ -403,46 +380,39 @@ def normal_form(state: FockState) -> SchmidtForm:
     work = state
     if state.parity == "odd":
         total = particle_hole_map(4, {0})
-        work = FockOperator(
-            4, lift_to_fock(total, 4).matrix.conj().T, kind="unitary"
-        ).apply(state)
+        work = FockState(4, transformed_amplitudes(state, total), "even")
 
     spec = hermitian_eigensystem(extended_density(work).m)
     f_plus = float(np.mean(spec.values[:4]))
     f_minus = float(np.mean(spec.values[4:]))
-    if f_plus - f_minus > _GAP_TOL:
-        core = _assemble_pairing_map(spec)
-    else:
-        core = _degenerate_seed_map(work)
-    total = compose(total, core)
-
+    total = compose(total, _core_map(work))
     phi = transformed_amplitudes(state, total)
-    if abs(phi[_MASK_PLUS]) < abs(phi[_MASK_MINUS]):
-        perm = np.zeros((4, 4))
-        perm[[2, 3, 0, 1], [0, 1, 2, 3]] = 1.0
-        total = compose(total, _unitary_map(perm))
-        phi = transformed_amplitudes(state, total)
-
-    theta = np.zeros(4)
-    theta[0] = -np.angle(phi[_MASK_PLUS]) if abs(phi[_MASK_PLUS]) > TOL_ZERO else 0.0
-    theta[2] = -np.angle(phi[_MASK_MINUS]) if abs(phi[_MASK_MINUS]) > TOL_ZERO else 0.0
-    total = compose(total, _unitary_map(np.diag(np.exp(-1j * theta))))
-    phi = transformed_amplitudes(state, total)
-
     off = np.linalg.norm(np.delete(phi, [_MASK_PLUS, _MASK_MINUS]))
     if off > _RESIDUAL_TOL:
         raise LiftFailureError(f"normal form residual {off:.3e}")
-    alpha_plus = float(max(phi[_MASK_PLUS].real, 0.0))
-    alpha_minus = float(max(phi[_MASK_MINUS].real, 0.0))
-    transformed = FockState(
-        n_modes=4, vector=phi, parity=vector_parity(phi, 4)
-    )
+
+    masks = np.arange(16)
+    low, high = masks & 3, masks >> 2
+    alpha_plus, alpha_minus = float(abs(phi[_MASK_PLUS])), float(abs(phi[_MASK_MINUS]))
+    if alpha_plus < alpha_minus:
+        total = compose(total, _unitary_map(np.eye(4)[[2, 3, 0, 1]]))
+        sign = (-1.0) ** (np.bitwise_count(low) * np.bitwise_count(high))
+        phi = sign * phi[low << 2 | high]
+        alpha_plus, alpha_minus = alpha_minus, alpha_plus
+
+    theta = np.zeros(4)
+    theta[0] = -np.angle(phi[_MASK_PLUS]) if alpha_plus > TOL_ZERO else 0.0
+    theta[2] = -np.angle(phi[_MASK_MINUS]) if alpha_minus > TOL_ZERO else 0.0
+    total = compose(total, _unitary_map(np.diag(np.exp(-1j * theta))))
+    phi = phi * np.exp(1j * (theta[0] * (masks & 1) + theta[2] * (high & 1)))
+    phi[_MASK_PLUS], phi[_MASK_MINUS] = alpha_plus, alpha_minus
+
     return SchmidtForm(
         alpha_plus=alpha_plus,
         alpha_minus=alpha_minus,
         map=total,
         pairing=dict(PAIRINGS),
-        transformed=transformed,
+        transformed=FockState(4, phi, "even"),
         f_plus=f_plus,
         f_minus=f_minus,
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from fermient import compose, lift_to_fock, make_state, particle_hole_map, random_bogoliubov
 from fermient.fock import annihilation_matrix, creation_matrix, number_matrix
 
 # property tests draw the same examples on every run, so tier-1 stays deterministic
@@ -119,3 +120,12 @@ def oracle_entropies(spectrum):
     von_neumann = -sum(x * math.log2(x) for x in p if x > 0.0)
     quadratic = sum(2.0 * x * (1.0 - x) for x in p)
     return von_neumann, quadratic
+
+
+def paired_image(f_plus, parity, rng):
+    """Bogoliubov image of sqrt(f)|0011> + sqrt(1 - f)|1100>; odd by a particle-hole flip."""
+    bmap = random_bogoliubov(4, rng=rng)
+    if parity == "odd":
+        bmap = compose(particle_hole_map(4, {int(rng.integers(4))}), bmap)
+    base = make_state(4, {0b0011: math.sqrt(f_plus), 0b1100: math.sqrt(1.0 - f_plus)})
+    return lift_to_fock(bmap, 4).apply(base)

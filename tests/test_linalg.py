@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fermient import NotHermitianError
-from fermient.linalg import hermitian_eigensystem
+from fermient.linalg import hermitian_eigensystem, hermitian_eigenvalues
 
 
 def random_hermitian(rng, n):
@@ -62,3 +62,16 @@ def test_rejects_non_hermitian():
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitianError):
         hermitian_eigensystem(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("entry", [None, (0, 1), (2, 2)])
+def test_nan_entries_fail_the_hermiticity_check(entry):
+    m = np.eye(3, dtype=complex)
+    if entry is None:
+        m[:] = np.nan
+    else:
+        m[entry] = np.nan
+    with pytest.raises(NotHermitianError):
+        hermitian_eigensystem(m)
+    with pytest.raises(NotHermitianError, match="in matrix 1"):
+        hermitian_eigenvalues(np.stack([np.eye(3), m]))

@@ -1,5 +1,5 @@
 """Property tests for the eigensolver, the fermionic partial trace, the Lemma-2
-batch, the entropy kernels and the gates."""
+batch, the normal form, the entropy kernels and the gates."""
 
 import math
 import sys
@@ -22,6 +22,8 @@ from fermient import (
     protocols,
     random_bogoliubov,
     random_state,
+    transforms,
+    transformed_amplitudes,
 )
 from fermient.correlations import binary_entropy, quadratic_term, von_neumann_term
 from fermient.entanglement import (
@@ -43,6 +45,7 @@ from conftest import (
     oracle_pauli,
     oracle_reduced,
     oracle_rotation,
+    paired_image,
 )
 
 #: Levels drawn from a short list repeat often, forcing degenerate eigenspaces.
@@ -150,8 +153,48 @@ def test_check_lemma2_eigensolves_do_not_grow_with_samples(monkeypatch, capsys):
 def test_normal_form_diagonalizes_the_extended_matrix_once(monkeypatch):
     eigensolves = _count_eigensolves(monkeypatch)
     normal_form(random_state(4, parity="even", seed=3))
-    # one 8x8 extended spectrum, then one 16x16 number operator per lift
-    assert eigensolves == [(8, 8), (16, 16), (16, 16)]
+    # the 8x8 extended spectra of the state and of the auxiliary state of the
+    # core map, then the 16x16 number operator of the single lift
+    assert eigensolves == [(8, 8), (8, 8), (16, 16)]
+
+
+@pytest.mark.parametrize("parity, lifts", [("even", 1), ("odd", 2)])
+def test_normal_form_computes_the_amplitudes_once(monkeypatch, parity, lifts):
+    calls: list = []
+    monkeypatch.setattr(transforms, "lift_to_fock", _counting(calls, transforms.lift_to_fock))
+    for seed in range(8):
+        normal_form(random_state(4, parity=parity, seed=seed))
+    # odd input adds the particle-hole pre-map; the swap and phase steps add none
+    assert len(calls) == 8 * lifts
+
+
+#: alpha_+^2 bands: a random state (None), near product, intermediate, near
+#: maximal on both sides of f_+ - f_- = 1e-3, and exactly maximal
+_NORMAL_FORM_BANDS = (
+    None, (0.999999, 1.0), (0.99, 0.9999), (0.6, 0.9), (0.5006, 0.52), (0.5, 0.50045), (0.5, 0.5)
+)
+
+
+@given(
+    band=st.sampled_from(_NORMAL_FORM_BANDS),
+    parity=st.sampled_from(["even", "odd"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_normal_form_on_generated_states(band, parity, seed, data):
+    rng = np.random.default_rng(seed)
+    if band is None:
+        state = random_state(4, parity=parity, rng=rng)
+        f_plus = float(oracle_extended_spectrum(state.vector, 4)[0])
+    else:
+        f_plus = data.draw(st.floats(*band))
+        state = paired_image(f_plus, parity, rng)
+    form = normal_form(state)
+    assert {mask for mask, _ in form.transformed.nonzero_amplitudes()} <= {0b0011, 0b1100}
+    assert abs(form.alpha_plus**2 - f_plus) <= 1e-9
+    assert abs(form.alpha_minus**2 - (1.0 - f_plus)) <= 1e-9
+    phi = transformed_amplitudes(state, form.map)
+    assert np.max(np.abs(phi - form.transformed.vector)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

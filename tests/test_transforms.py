@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import oracle_annihilation_matrix, oracle_creation_matrix
+from conftest import oracle_annihilation_matrix, oracle_creation_matrix, paired_image
 
 from fermient import (
     FockState,
     basis_state,
+    concurrence,
     inner_product,
     make_state,
     random_state,
@@ -26,6 +27,7 @@ from fermient.transforms import (
     particle_hole,
     particle_hole_map,
     random_bogoliubov,
+    transformed_amplitudes,
     two_fermion_schmidt,
     validate_bogoliubov,
 )
@@ -56,6 +58,17 @@ def test_validate_rejects_scaled_blocks():
     with pytest.raises(NotSymplecticError) as err:
         validate_bogoliubov(1.1 * np.eye(3), np.zeros((3, 3)))
     assert "residual" in str(err.value)
+
+
+@pytest.mark.parametrize("block, entry", [("U", None), ("U", (1, 2)), ("V", (0, 0))])
+def test_validate_rejects_nan_entries(block, entry):
+    blocks = {"U": np.eye(3, dtype=complex), "V": np.zeros((3, 3), dtype=complex)}
+    if entry is None:
+        blocks[block][:] = np.nan
+    else:
+        blocks[block][entry] = np.nan
+    with pytest.raises(NotSymplecticError):
+        validate_bogoliubov(blocks["U"], blocks["V"])
 
 
 def test_validate_rejects_shape_mismatch():
@@ -163,13 +176,20 @@ def test_transform_preserves_extended_spectrum(rng):
         assert np.max(np.abs(before - after)) < 1e-9
 
 
-def test_magic_bilinear_frame():
-    from fermient.transforms import _magic_matrix, _magic_q
+def test_magic_bilinear_frame(rng):
+    from fermient.transforms import _EVEN_MASKS, _magic_matrix
 
     m = _magic_matrix()
-    q = _magic_q()
+    # the concurrence bilinear z^T Q z pairs complementary even masks with signs
+    q = np.zeros((8, 8))
+    for (a, b), sign in (((3, 12), 1.0), ((5, 10), -1.0), ((9, 6), 1.0), ((0, 15), -1.0)):
+        i, j = _EVEN_MASKS.index(a), _EVEN_MASKS.index(b)
+        q[i, j] = q[j, i] = sign
     assert np.max(np.abs(m.conj().T @ m - np.eye(8))) < 1e-12
     assert np.max(np.abs(m.T @ q @ m - np.eye(8))) < 1e-12
+    psi = random_state(4, parity="even", rng=rng)
+    c = m.conj().T @ psi.vector[list(_EVEN_MASKS)]
+    assert abs(c @ c) == pytest.approx(concurrence(psi), abs=1e-12)
 
 
 def test_normal_form_of_paired_state_keeps_amplitudes():
@@ -219,6 +239,24 @@ def test_normal_form_of_maximally_paired_states():
         nf = normal_form(psi)
         assert nf.alpha_plus == pytest.approx(np.sqrt(0.5), abs=1e-8)
         assert nf.alpha_minus == pytest.approx(np.sqrt(0.5), abs=1e-8)
+
+
+#: Seeds of odd maximal images whose normal-form map has a vacuum with two
+#: equally large amplitudes. Unless such ties are pinned to the lowest mask,
+#: rounding can move the lift's phase anchor and rotate the map's amplitudes.
+_VACUUM_TIE_SEEDS = (140, 260, 302, 756)
+
+
+def test_normal_form_of_maximal_bogoliubov_images():
+    # C = 1: the two amplitudes are equal, so rounding must not reorder them
+    cases = [(seed, ("even", "odd")[seed % 2]) for seed in range(200)]
+    for seed, parity in cases + [(seed, "odd") for seed in _VACUUM_TIE_SEEDS]:
+        psi = paired_image(0.5, parity, np.random.default_rng(seed))
+        nf = normal_form(psi)
+        assert abs(nf.alpha_plus - np.sqrt(0.5)) <= 1e-9
+        assert abs(nf.alpha_minus - np.sqrt(0.5)) <= 1e-9
+        phi = transformed_amplitudes(psi, nf.map)
+        assert np.max(np.abs(phi - nf.transformed.vector)) <= 1e-12, seed
 
 
 def test_normal_form_map_is_valid_and_pairing_fixed(rng):
