@@ -16,9 +16,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .correlations import extended_density, one_body, qsp_entropy, sp_entropy
+from .correlations import extended_density, one_body, qsp_entropy, sp_entropy, von_neumann_term
 from .entanglement import (
     ModePartition,
+    _matched_entropy,
     bipartite_entropy,
     concurrence,
     majorization_check,
@@ -257,13 +258,14 @@ def _cmd_bipartition(args) -> tuple[int, dict]:
     overrides = _tolerance_map(args, ("lemma",))
     tol = overrides.get("lemma", _LEMMA_TOL)
     part = ModePartition(state.n_modes, args.a)
-    reduced = reduced_state(state, part, side="a")
+    rho_a = reduced_state(state, part, side="a")
+    rho_b = reduced_state(state, part, side="b")
     payload = {
         "n_modes": state.n_modes,
         "side_a": list(part.side_a),
         "side_b": list(part.side_b),
-        "spectrum": _floats(reduced.spectrum()),
-        "S_A": float(bipartite_entropy(state, part)),
+        "spectrum": _floats(rho_a.spectrum()),
+        "S_A": float(_matched_entropy(rho_a, rho_b, von_neumann_term)),
     }
     code = 0
     if state.n_modes == 4 and len(part.side_a) in (1, 2):

@@ -17,14 +17,13 @@ Two entropy conventions coexist deliberately and are NOT interchangeable:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import HermiticityDefectError
-from .fock import FockState, _op_tables
+from .fock import FockState, _mode_tables
 from .linalg import Spectrum, hermitian_eigensystem
 
 __all__ = [
@@ -112,26 +111,6 @@ class ExtendedDensity:
 
     def spectrum(self) -> Spectrum:
         return hermitian_eigensystem(self.m)
-
-
-@functools.cache
-def _mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of all n annihilators and creators, from ``fock._op_tables``.
-
-    Returns read-only int8 tables (c, cdag), each (n, 2^n), of -1, 0 or +1:
-    c_i maps amplitude ``v[m ^ (1 << i)]`` to ``c[i, m] * v[m ^ (1 << i)]`` at
-    mask m, and cdag_i likewise with ``cdag[i, m]``; 0 marks a mask the
-    operator does not reach.
-    """
-    tables = []
-    for dagger in (False, True):
-        coef = np.zeros((n, 1 << n), dtype=np.int8)
-        for i in range(n):
-            src, sign = _op_tables(n, i, dagger)
-            coef[i, src ^ (1 << i)] = sign
-        coef.setflags(write=False)
-        tables.append(coef)
-    return tables[0], tables[1]
 
 
 def _one_body_stack(vectors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

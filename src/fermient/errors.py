@@ -46,6 +46,10 @@ class LiftFailureError(FermionError):
     """Fock-space lift of a Bogoliubov map failed its conjugation check."""
 
 
+class MemoryBudgetError(FermionError):
+    """A dense construction would need more memory than its fixed budget."""
+
+
 class NotTwoFermionError(FermionError):
     """State is not supported on the two-particle sector."""
 

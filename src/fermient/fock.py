@@ -244,6 +244,28 @@ def _op_tables(n_modes: int, mode: int, dagger: bool) -> tuple[np.ndarray, np.nd
     return src.astype(np.int64), sign
 
 
+@functools.cache
+def _mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of all n annihilators and creators, from ``_op_tables``.
+
+    Returns read-only int8 tables (c, cdag), each (n, 2^n), of -1, 0 or +1:
+    c_i maps amplitude ``v[m ^ (1 << i)]`` to ``c[i, m] * v[m ^ (1 << i)]`` at
+    mask m, and cdag_i likewise with ``cdag[i, m]``; 0 marks a mask the
+    operator does not reach. So ``c[i, m]`` is nonzero exactly where mode i
+    is empty in m, ``cdag[i, m]`` where it is occupied, and the nonzero
+    entry is the Jordan-Wigner sign (-1)^popcount(m & ((1 << i) - 1)).
+    """
+    tables = []
+    for dagger in (False, True):
+        coef = np.zeros((n, 1 << n), dtype=np.int8)
+        for i in range(n):
+            src, sign = _op_tables(n, i, dagger)
+            coef[i, src ^ (1 << i)] = sign
+        coef.setflags(write=False)
+        tables.append(coef)
+    return tables[0], tables[1]
+
+
 def raw_apply(vector: np.ndarray, n_modes: int, mode: int, dagger: bool) -> np.ndarray:
     """Apply c_mode (or cdag_mode) to a bare coefficient vector. May return zero."""
     src, sign = _op_tables(n_modes, mode, dagger)
@@ -328,6 +350,11 @@ def parity_matrix(n_modes: int) -> np.ndarray:
     return np.diag(signs).astype(np.complex128)
 
 
+def _require_property(kind: str, defect: float) -> None:
+    if not defect <= TOL_NORM:  # also rejects NaN
+        raise OperatorPropertyError(f"matrix violates {kind} property by {defect:.3e}")
+
+
 @dataclass(frozen=True)
 class FockOperator:
     """Dense operator on the full Fock space with a declared kind.
@@ -358,18 +385,19 @@ class FockOperator:
             )
         else:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if not defect <= TOL_NORM:  # also rejects NaN
-            raise OperatorPropertyError(
-                f"matrix violates {self.kind} property by {defect:.3e}"
-            )
+        _require_property(self.kind, defect)
         self.matrix.setflags(write=False)
 
     @classmethod
-    def _prechecked_unitary(cls, n_modes: int, matrix: np.ndarray) -> "FockOperator":
-        """Unitary operator whose caller has already verified unitarity.
+    def _prechecked_unitary(
+        cls, n_modes: int, matrix: np.ndarray, defect: float
+    ) -> "FockOperator":
+        """Unitary operator whose caller has measured its unitarity defect.
 
-        Skips the dense check of ``__post_init__``; only freezes the matrix.
+        ``defect`` must equal the dense max |M^dag M - 1| of ``__post_init__``;
+        it is held to the same TOL_NORM, and the dense product is skipped.
         """
+        _require_property("unitary", defect)
         op = object.__new__(cls)
         for name, value in (("n_modes", n_modes), ("matrix", matrix), ("kind", "unitary")):
             object.__setattr__(op, name, value)

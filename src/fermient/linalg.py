@@ -2,8 +2,8 @@
 
 A checked front end to LAPACK: both functions reject input that is not
 Hermitian within HERMITICITY_TOL and return eigenvalues in descending order.
-``hermitian_eigensystem`` (``numpy.linalg.eigh``) diagonalizes one matrix, up
-to the 2^n x 2^n Fock-space operators of ``transforms.lift_to_fock``.
+``hermitian_eigensystem`` (``numpy.linalg.eigh``) diagonalizes one matrix,
+such as an extended one-body matrix or a Bogoliubov generator.
 ``hermitian_eigenvalues`` (``numpy.linalg.eigvalsh``) returns only the
 eigenvalues of a stack of matrices, such as the reduced states of the
 Lemma-2 sweep, from one batched call.

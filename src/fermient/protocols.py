@@ -205,10 +205,7 @@ def _block_unitary(n_modes: int, matrix: np.ndarray, pairs: np.ndarray) -> FockO
 
     Checked by ``_block_defect`` against the same TOL_NORM as the dense check.
     """
-    defect = _block_defect(matrix, pairs)
-    if not defect <= TOL_NORM:  # also rejects NaN
-        raise OperatorPropertyError(f"matrix violates unitary property by {defect:.3e}")
-    return FockOperator._prechecked_unitary(n_modes, matrix)
+    return FockOperator._prechecked_unitary(n_modes, matrix, _block_defect(matrix, pairs))
 
 
 def _dictionary_exp(

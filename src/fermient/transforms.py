@@ -6,9 +6,15 @@ V[k,i] cdag_k``. Stacked as ``(a; adag) = W^dag (c; cdag)`` with
 (written in map-1 quasiparticle operators) composes to ``W = W1 @ W2``.
 
 ``lift_to_fock`` realizes a map as the 2^n x 2^n unitary that conjugates mode
-operators into quasiparticle operators; its global phase is pinned by making
-the largest-magnitude amplitude of the new vacuum real positive (magnitudes
-within TOL_ZERO of the largest tie, and the lowest mask wins).
+operators into quasiparticle operators, without an eigensolve. The new vacuum
+is Thouless's (Ring & Schuck, The Nuclear Many-Body Problem, ch. 7): the
+product a_0 a_1 ... a_{n-1} of all quasiparticle annihilators is the rank-one
+|vac><full|, so its column of largest norm is the vacuum up to scale. Its
+global phase is pinned by making the largest-magnitude amplitude real
+positive (magnitudes within TOL_ZERO of the largest tie, and the lowest mask
+wins). The remaining columns come in n blocks, one per quasiparticle
+creator. The vacuum residual max_i ||a_i vac||, the unitarity defect and the
+conjugation residuals are each computed once, densely, and checked.
 
 ``normal_form`` takes one route for every four-mode state: a core map from
 the invariant bilinear in the magic basis (Hill & Wootters), then one lift
@@ -31,6 +37,7 @@ from .correlations import extended_density
 from .errors import (
     DimensionMismatchError,
     LiftFailureError,
+    MemoryBudgetError,
     NotSymplecticError,
     NotTwoFermionError,
 )
@@ -38,8 +45,8 @@ from .fock import (
     FockOperator,
     FockState,
     TOL_ZERO,
-    annihilation_matrix,
-    creation_matrix,
+    _dim,
+    _mode_tables,
     make_state,
 )
 from .linalg import Spectrum, hermitian_eigensystem
@@ -169,17 +176,9 @@ def compose(first: BogoliubovMap, second: BogoliubovMap) -> BogoliubovMap:
 # ---------------------------------------------------------------------------
 
 
-def _quasiparticle_matrices(bmap: BogoliubovMap) -> list[np.ndarray]:
-    n = bmap.n_modes
-    cs = [annihilation_matrix(n, k) for k in range(n)]
-    cds = [creation_matrix(n, k) for k in range(n)]
-    out = []
-    for i in range(n):
-        a = np.zeros_like(cs[0])
-        for k in range(n):
-            a += np.conj(bmap.U[k, i]) * cs[k] + bmap.V[k, i] * cds[k]
-        out.append(a)
-    return out
+#: Largest estimated peak memory, in bytes, that ``lift_to_fock`` will
+#: allocate (1.5 GiB): n = 11 needs 1 GiB, n = 12 about 4.3 GiB.
+_LIFT_BUDGET = 3 << 29
 
 
 def lift_to_fock(bmap: BogoliubovMap, n_modes: int) -> FockOperator:
@@ -192,44 +191,92 @@ def lift_to_fock(bmap: BogoliubovMap, n_modes: int) -> FockOperator:
     where magnitudes within TOL_ZERO of the largest tie and the lowest mask
     wins, so that rounding cannot move the anchor.
 
-    Raises LiftFailureError if no vector is annihilated by every a_i or if the
-    construction fails its unitarity/conjugation checks.
+    The dense a_i are filled from the mode tables of ``fock._mode_tables``,
+    mode k writing the entries (m, m ^ 2^k), so nothing is summed. The vacuum
+    is Thouless's: a_0 a_1 ... a_{n-1} = |vac><full| has rank one, and its
+    column of largest norm (lowest mask on ties), at least 2^(-n/2) for a
+    valid map, is normalized; no eigensolve is made. The columns then grow
+    in n blocks: moving the highest creator to the front gives
+    ``cols[:, 2^h + r] = (-1)^popcount(r) adag_h cols[:, r]`` for r < 2^h.
+
+    Checks, each computed once: the vacuum residual max_i ||a_i vac|| and
+    the dense defects max |cols^dag cols - 1| and max |cols c_i cols^dag -
+    a_i|, all within 1e-9, then the unitarity defect within TOL_NORM as
+    ``FockOperator`` requires. c_i is never built: column m of ``cols c_i``
+    is the signed column ``m ^ 2^i`` where mode i is occupied in m and zero
+    elsewhere.
+
+    Raises MemoryBudgetError, before any allocation, if the estimated peak
+    memory exceeds 1.5 GiB (n = 12). Raises LiftFailureError if the
+    annihilator product has no column of the expected norm or a check fails,
+    and OperatorPropertyError if unitarity misses TOL_NORM alone.
     """
     if bmap.n_modes != n_modes:
         raise DimensionMismatchError(
             f"map on {bmap.n_modes} modes does not match n_modes={n_modes}"
         )
-    dim = 1 << n_modes
-    a_ops = _quasiparticle_matrices(bmap)
-    number_op = sum(op.conj().T @ op for op in a_ops)
-    spec = hermitian_eigensystem(number_op)
-    if spec.values[-1] > _LIFT_TOL:
-        raise LiftFailureError(
-            f"no quasiparticle vacuum: smallest occupation {spec.values[-1]:.3e}"
+    dim = _dim(n_modes)
+    # the (n, 2^n, 2^n) stack of a_i, the columns, and at most four more
+    # complex 2^n x 2^n arrays alive at once (the annihilator product and its
+    # next factor, or the Gram matrix or a conjugation residual with temporaries)
+    need = 16 * (n_modes + 5) << 2 * n_modes
+    if need > _LIFT_BUDGET:
+        raise MemoryBudgetError(
+            f"lift of {n_modes} modes needs an estimated {need} bytes "
+            f"({need / 2**30:.1f} GiB), above the {_LIFT_BUDGET} byte budget"
         )
-    vacuum = spec.vectors[:, -1]
+    c, cdag = _mode_tables(n_modes)
+    masks = np.arange(dim)
+    flipped = masks ^ (1 << np.arange(n_modes))[:, None]
+    # a_ops[i, m, m ^ 2^k] = conj(U[k, i]) c[k, m] + V[k, i] cdag[k, m]
+    a_ops = np.zeros((n_modes, dim, dim), dtype=np.complex128)
+    a_ops[:, masks, flipped] = bmap.U.conj().T[:, :, None] * c + bmap.V.T[:, :, None] * cdag
+
+    product = a_ops[-1]
+    for i in range(n_modes - 2, -1, -1):
+        product = a_ops[i] @ product
+    norms = np.linalg.norm(product, axis=0)
+    best = int(np.argmax(norms))
+    floor = 0.5 * 2.0 ** (-n_modes / 2)
+    if not norms[best] >= floor:
+        raise LiftFailureError(
+            f"no quasiparticle vacuum: annihilator product column norm "
+            f"{norms[best]:.3e} below {floor:.3e}"
+        )
+    vacuum = product[:, best] / norms[best]
+    del product
     size = np.abs(vacuum)
     anchor = int(np.flatnonzero(size >= size.max() - TOL_ZERO)[0])
-    vacuum = vacuum * (np.abs(vacuum[anchor]) / vacuum[anchor])
+    vacuum *= size[anchor] / vacuum[anchor]
+    residual = float(np.max(np.linalg.norm(a_ops @ vacuum, axis=1)))
+    if not residual <= _LIFT_TOL:
+        raise LiftFailureError(f"vacuum residual {residual:.3e} exceeds {_LIFT_TOL}")
 
-    cols = np.zeros((dim, dim), dtype=np.complex128)
+    cols = np.empty((dim, dim), dtype=np.complex128)
     cols[:, 0] = vacuum
-    adags = [op.conj().T for op in a_ops]
-    for mask in range(1, dim):
-        low = (mask & -mask).bit_length() - 1
-        cols[:, mask] = adags[low] @ cols[:, mask ^ (1 << low)]
+    for h in range(n_modes):
+        half = 1 << h
+        # adag_h cols[:, :half], signed by cdag[h, half + r] = (-1)^popcount(r)
+        block = (cols[:, :half].conj().T @ a_ops[h]).conj().T
+        cols[:, half : 2 * half] = block * cdag[h, half : 2 * half]
 
-    unit_defect = np.max(np.abs(cols.conj().T @ cols - np.eye(dim)))
-    if unit_defect > _LIFT_TOL:
+    gram = cols.conj().T @ cols
+    gram.flat[:: dim + 1] -= 1.0
+    unit_defect = float(np.max(np.abs(gram)))
+    del gram
+    if not unit_defect <= _LIFT_TOL:
         raise LiftFailureError(f"lift not unitary, defect {unit_defect:.3e}")
-    c_ops = [annihilation_matrix(n_modes, k) for k in range(n_modes)]
     for i in range(n_modes):
-        conj_defect = np.max(np.abs(cols @ c_ops[i] @ cols.conj().T - a_ops[i]))
-        if conj_defect > _LIFT_TOL:
+        empty = np.flatnonzero(c[i])
+        # cols c_i cols^dag = sum over m empty at i of c[i, m] cols[:, m] cols[:, m ^ 2^i]^dag
+        diff = (cols[:, empty] * c[i, empty]) @ cols[:, empty ^ (1 << i)].conj().T
+        diff -= a_ops[i]
+        conj_defect = float(np.max(np.abs(diff)))
+        if not conj_defect <= _LIFT_TOL:
             raise LiftFailureError(
                 f"conjugation residual {conj_defect:.3e} on mode {i}"
             )
-    return FockOperator(n_modes=n_modes, matrix=cols, kind="unitary")
+    return FockOperator._prechecked_unitary(n_modes, cols, unit_defect)
 
 
 def particle_hole(state: FockState, modes: Iterable[int]) -> FockState:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from fermient import compose, lift_to_fock, make_state, particle_hole_map, random_bogoliubov
-from fermient.fock import annihilation_matrix, creation_matrix, number_matrix
+from fermient.fock import TOL_ZERO, annihilation_matrix, creation_matrix, number_matrix
 
 # property tests draw the same examples on every run, so tier-1 stays deterministic
 settings.register_profile("fermient", derandomize=True, deadline=None)
@@ -36,6 +36,38 @@ def oracle_creation_matrix(n_modes: int, mode: int) -> np.ndarray:
 
 def oracle_annihilation_matrix(n_modes: int, mode: int) -> np.ndarray:
     return oracle_creation_matrix(n_modes, mode).conj().T
+
+
+def oracle_quasiparticles(bmap):
+    """Dense a_i = sum_k conj(U[k, i]) c_k + V[k, i] cdag_k from the entry-by-entry oracles."""
+    n = bmap.n_modes
+    cs = [oracle_annihilation_matrix(n, k) for k in range(n)]
+    cds = [oracle_creation_matrix(n, k) for k in range(n)]
+    return [
+        sum(np.conj(bmap.U[k, i]) * cs[k] + bmap.V[k, i] * cds[k] for k in range(n))
+        for i in range(n)
+    ]
+
+
+def oracle_lift(bmap):
+    """Lift columns by the number-operator route, kept independent of lift_to_fock.
+
+    The vacuum is the null vector of sum_i adag_i a_i (one dense eigensolve),
+    its phase pinned as the library documents; column m applies the creators
+    of m to it one at a time, lowest mode last.
+    """
+    a_ops = oracle_quasiparticles(bmap)
+    _, vectors = np.linalg.eigh(sum(a.conj().T @ a for a in a_ops))
+    vac = vectors[:, 0]
+    size = np.abs(vac)
+    anchor = np.flatnonzero(size >= size.max() - TOL_ZERO)[0]
+    vac = vac * size[anchor] / vac[anchor]
+    cols = np.zeros((vac.size, vac.size), dtype=complex)
+    cols[:, 0] = vac
+    for mask in range(1, vac.size):
+        low = (mask & -mask).bit_length() - 1
+        cols[:, mask] = a_ops[low].conj().T @ cols[:, mask ^ (1 << low)]
+    return cols
 
 
 def oracle_reduced(state, part):

@@ -1,8 +1,9 @@
 """Property tests for the eigensolver, the fermionic partial trace, the Lemma-2
-batch, the normal form, the entropy kernels and the gates."""
+batch, the Bogoliubov lift, the normal form, the entropy kernels and the gates."""
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +17,18 @@ from fermient import (
     OperatorPropertyError,
     basis_state,
     cli,
+    compose,
     concurrence,
+    identity_map,
     lift_to_fock,
     make_state,
+    particle_hole_map,
     protocols,
     random_bogoliubov,
     random_state,
     transforms,
     transformed_amplitudes,
+    validate_bogoliubov,
 )
 from fermient.correlations import binary_entropy, quadratic_term, von_neumann_term
 from fermient.entanglement import (
@@ -32,21 +37,26 @@ from fermient.entanglement import (
     majorization_stack,
     reduced_state,
 )
-from fermient.fock import number_matrix
+from fermient.fock import TOL_ZERO, number_matrix
 from fermient.linalg import hermitian_eigensystem
 from fermient.protocols import QubitEncoding, cnot, hadamard, parity_gate, pauli, rotation
 from fermient.transforms import normal_form
 
 from conftest import (
+    oracle_annihilation_matrix,
     oracle_cnot,
     oracle_entropies,
     oracle_exp,
     oracle_extended_spectrum,
+    oracle_lift,
     oracle_pauli,
+    oracle_quasiparticles,
     oracle_reduced,
     oracle_rotation,
     paired_image,
 )
+
+_GOLDEN = Path(__file__).parent / "golden"
 
 #: Levels drawn from a short list repeat often, forcing degenerate eigenspaces.
 _LEVELS = st.one_of(
@@ -116,18 +126,27 @@ def _counting(calls: list, fn):
     return wrapper
 
 
+def _count_calls(monkeypatch, names) -> list:
+    """Record the first argument's shape of every call of the named functions.
+
+    Patches the name in every package module that binds it, so calls through
+    any import path are counted.
+    """
+    calls: list = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("fermient.")]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _counting(calls, getattr(module, name)))
+    return calls
+
+
 def _count_eigensolves(monkeypatch) -> list:
     """Record the input shape of every eigensolve made through any package module.
 
     Counts both the single-matrix ``hermitian_eigensystem`` and the stacked
     ``hermitian_eigenvalues``.
     """
-    calls: list = []
-    for module in [m for name, m in sys.modules.items() if name.startswith("fermient.")]:
-        for name in ("hermitian_eigensystem", "hermitian_eigenvalues"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, _counting(calls, getattr(module, name)))
-    return calls
+    return _count_calls(monkeypatch, ("hermitian_eigensystem", "hermitian_eigenvalues"))
 
 
 def test_majorization_check_diagonalizes_each_matrix_once(monkeypatch):
@@ -154,8 +173,61 @@ def test_normal_form_diagonalizes_the_extended_matrix_once(monkeypatch):
     eigensolves = _count_eigensolves(monkeypatch)
     normal_form(random_state(4, parity="even", seed=3))
     # the 8x8 extended spectra of the state and of the auxiliary state of the
-    # core map, then the 16x16 number operator of the single lift
-    assert eigensolves == [(8, 8), (8, 8), (16, 16)]
+    # core map; the lift makes none
+    assert eigensolves == [(8, 8), (8, 8)]
+
+
+def test_bipartition_builds_each_reduced_state_once(monkeypatch, capsys):
+    eigensolves = _count_eigensolves(monkeypatch)
+    assert cli.main(["bipartition", str(_GOLDEN / "even4.json"), "--a", "0,2"]) == 0
+    capsys.readouterr()
+    # rho_A and rho_B for the spectrum and S_A, then majorization_check's
+    # rho_A, rho_B and extended matrix
+    assert eigensolves == [(1, 4, 4)] * 4 + [(1, 8, 8)]
+
+
+def test_lift_makes_no_eigensolve_and_no_dense_mode_matrix(monkeypatch):
+    maps = [random_bogoliubov(n, seed=n) for n in (1, 3, 6)] + [particle_hole_map(5, range(5))]
+    eigensolves = _count_eigensolves(monkeypatch)
+    dense = _count_calls(monkeypatch, ("creation_matrix", "annihilation_matrix"))
+    for bmap in maps:
+        lift_to_fock(bmap, bmap.n_modes)
+    assert eigensolves == []
+    assert dense == []
+
+
+@st.composite
+def bogoliubov_maps(draw):
+    """Random maps, random maps behind a particle-hole factor on a random set of
+    modes, and all-mode particle-hole maps behind a random unitary (U = 0)."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "particle-hole factor", "U = 0"]))
+    if kind == "random":
+        return random_bogoliubov(n, rng=rng)
+    if kind == "particle-hole factor":
+        modes = draw(st.sets(st.integers(0, n - 1)))
+        return compose(particle_hole_map(n, modes), random_bogoliubov(n, rng=rng))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return compose(particle_hole_map(n, range(n)), validate_bogoliubov(q, np.zeros((n, n))))
+
+
+@given(bogoliubov_maps())
+@example(particle_hole_map(6, range(6)))
+@example(identity_map(1))
+def test_lift_matches_the_number_operator_oracle(bmap):
+    n = bmap.n_modes
+    cols = lift_to_fock(bmap, n).matrix
+    vac = cols[:, 0]
+    for i, a in enumerate(oracle_quasiparticles(bmap)):
+        c = oracle_annihilation_matrix(n, i)
+        assert np.max(np.abs(cols @ c @ cols.conj().T - a)) <= 1e-12
+        assert np.linalg.norm(a @ vac) <= 1e-12
+    size = np.abs(vac)
+    anchor = np.flatnonzero(size >= size.max() - TOL_ZERO)[0]
+    assert vac[anchor].real > 0.0
+    assert abs(vac[anchor].imag) <= TOL_ZERO
+    assert np.max(np.abs(cols - oracle_lift(bmap))) <= 1e-12
 
 
 @pytest.mark.parametrize("parity, lifts", [("even", 1), ("odd", 2)])

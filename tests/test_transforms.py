@@ -1,8 +1,11 @@
 """Bogoliubov maps, lifts, particle-hole transforms, and normal forms."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import oracle_annihilation_matrix, oracle_creation_matrix, paired_image
+from conftest import oracle_annihilation_matrix, oracle_quasiparticles, paired_image
 
 from fermient import (
     FockState,
@@ -16,10 +19,14 @@ from fermient import (
 from fermient.correlations import extended_density, one_body
 from fermient.errors import (
     DimensionMismatchError,
+    LiftFailureError,
+    MemoryBudgetError,
     NotSymplecticError,
     NotTwoFermionError,
+    OperatorPropertyError,
 )
 from fermient.transforms import (
+    BogoliubovMap,
     compose,
     identity_map,
     lift_to_fock,
@@ -31,19 +38,6 @@ from fermient.transforms import (
     two_fermion_schmidt,
     validate_bogoliubov,
 )
-
-
-def quasiparticle_oracle(bmap):
-    """Dense a_i matrices built from the test-side operator oracles."""
-    n = bmap.n_modes
-    out = []
-    for i in range(n):
-        a = np.zeros((1 << n, 1 << n), dtype=complex)
-        for k in range(n):
-            a += np.conj(bmap.U[k, i]) * oracle_annihilation_matrix(n, k)
-            a += bmap.V[k, i] * oracle_creation_matrix(n, k)
-        out.append(a)
-    return out
 
 
 def test_validate_accepts_identity_and_particle_hole():
@@ -102,7 +96,7 @@ def test_lift_conjugates_mode_operators():
     for seed in (0, 1, 2):
         bmap = random_bogoliubov(4, seed=seed)
         op = lift_to_fock(bmap, 4)
-        a_ops = quasiparticle_oracle(bmap)
+        a_ops = oracle_quasiparticles(bmap)
         for i in range(4):
             c = oracle_annihilation_matrix(4, i)
             assert (
@@ -308,3 +302,33 @@ def test_two_fermion_schmidt_rejects_other_sectors():
 def test_lift_rejects_mismatched_size():
     with pytest.raises(DimensionMismatchError):
         lift_to_fock(identity_map(3), 4)
+
+
+def test_lift_refuses_twelve_modes_before_allocating():
+    bmap = identity_map(12)
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(MemoryBudgetError, match=r"needs an estimated \d+ bytes"):
+        lift_to_fock(bmap, 12)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.05
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0])
+def test_lift_of_an_unchecked_non_bogoliubov_map_fails(scale):
+    # a_i = scale * c_i: no vacuum when scale = 0, no unitary lift when scale = 2
+    bmap = BogoliubovMap(U=scale * np.eye(3, dtype=complex), V=np.zeros((3, 3), dtype=complex))
+    with pytest.raises(LiftFailureError):
+        lift_to_fock(bmap, 3)
+
+
+def test_lift_holds_unitarity_to_tol_norm_after_its_own_checks():
+    # a_0 = (1 + eps) c_0 lifts to diag(1, 1 + eps): conjugation exact, unitarity
+    # defect 2 eps, inside the lift's 1e-9 but outside TOL_NORM
+    eps = 2e-10
+    bmap = BogoliubovMap(U=np.array([[1.0 + eps]], dtype=complex), V=np.zeros((1, 1), dtype=complex))
+    with pytest.raises(OperatorPropertyError, match="matrix violates unitary property by 4.000e-10"):
+        lift_to_fock(bmap, 1)
