@@ -23,6 +23,7 @@ superselection rule obeyed by physical fermionic systems.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
@@ -95,11 +96,12 @@ class FockState:
     parity:
         Number-parity tag of the support, ``"even"`` or ``"odd"``.
 
-    Construction rejects a tag that contradicts the support: a vector holding
-    more than TOL_NORM of its weight outside the tagged sector raises
-    WrongParityError. The zero vector is accepted under either tag, because
-    ``apply_creation`` and ``apply_annihilation`` may return it by design; for
-    the same reason the norm is not checked.
+    Construction rejects a NaN or infinite amplitude (NotNormalizedError) and
+    a tag that contradicts the support: a vector holding more than TOL_NORM
+    of its weight outside the tagged sector raises WrongParityError. The zero
+    vector is accepted under either tag, because ``apply_creation`` and
+    ``apply_annihilation`` may return it by design; for the same reason the
+    norm is not checked.
     """
 
     n_modes: int
@@ -116,9 +118,12 @@ class FockState:
         if self.parity not in ("even", "odd"):
             raise WrongParityError(f"parity tag must be 'even' or 'odd', got {self.parity!r}")
         weights = np.abs(vector) ** 2
+        total = float(np.sum(weights))
+        if not math.isfinite(total):  # a NaN or infinite amplitude
+            raise NotNormalizedError(f"state vector has non-finite weight {total}")
         outside = _mask_parities(self.n_modes) != (self.parity == "odd")
         w_out = float(np.sum(weights[outside]))
-        if w_out > TOL_NORM * float(np.sum(weights)):
+        if w_out > TOL_NORM * total:
             raise WrongParityError(
                 f"state tagged {self.parity!r} holds weight {w_out:.3e} outside its sector"
             )
@@ -227,26 +232,9 @@ def basis_state(n_modes: int, mask: int) -> FockState:
 # ---------------------------------------------------------------------------
 
 
-def _op_tables(n_modes: int, mode: int, dagger: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Source masks and signed couplings for c_mode / cdag_mode.
-
-    Returns (src, sign) such that the operator maps amplitude at ``src[k]`` to
-    ``sign[k]`` times that amplitude at ``src[k] ^ (1 << mode)``.
-    """
-    if not 0 <= mode < n_modes:
-        raise DimensionMismatchError(f"mode {mode} out of range for {n_modes} modes")
-    bit = 1 << mode
-    masks = np.arange(1 << n_modes, dtype=np.uint64)
-    occupied = (masks & np.uint64(bit)).astype(bool)
-    src = masks[~occupied] if dagger else masks[occupied]
-    below = src & np.uint64(bit - 1)
-    sign = 1.0 - 2.0 * (np.bitwise_count(below) & 1).astype(np.float64)
-    return src.astype(np.int64), sign
-
-
 @functools.cache
 def _mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of all n annihilators and creators, from ``_op_tables``.
+    """Coefficients of all n annihilators and creators, read off the bits.
 
     Returns read-only int8 tables (c, cdag), each (n, 2^n), of -1, 0 or +1:
     c_i maps amplitude ``v[m ^ (1 << i)]`` to ``c[i, m] * v[m ^ (1 << i)]`` at
@@ -255,22 +243,31 @@ def _mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     is empty in m, ``cdag[i, m]`` where it is occupied, and the nonzero
     entry is the Jordan-Wigner sign (-1)^popcount(m & ((1 << i) - 1)).
     """
-    tables = []
-    for dagger in (False, True):
-        coef = np.zeros((n, 1 << n), dtype=np.int8)
-        for i in range(n):
-            src, sign = _op_tables(n, i, dagger)
-            coef[i, src ^ (1 << i)] = sign
+    masks = np.arange(1 << n)
+    bits = 1 << np.arange(n)[:, None]
+    sign = (1 - 2 * (np.bitwise_count(masks & (bits - 1)) & 1)).astype(np.int8)
+    occupied = (masks & bits) != 0
+    tables = (np.where(occupied, 0, sign), np.where(occupied, sign, 0))
+    for coef in tables:
         coef.setflags(write=False)
-        tables.append(coef)
-    return tables[0], tables[1]
+    return tables
+
+
+def _mode_entries(n_modes: int, mode: int, dagger: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, sign) of c_mode or cdag_mode, which moves the amplitude at
+    ``rows ^ (1 << mode)`` to ``rows`` with factor ``sign``."""
+    if not 0 <= mode < n_modes:
+        raise DimensionMismatchError(f"mode {mode} out of range for {n_modes} modes")
+    coef = _mode_tables(n_modes)[dagger][mode]
+    rows = np.flatnonzero(coef)
+    return rows, coef[rows]
 
 
 def raw_apply(vector: np.ndarray, n_modes: int, mode: int, dagger: bool) -> np.ndarray:
     """Apply c_mode (or cdag_mode) to a bare coefficient vector. May return zero."""
-    src, sign = _op_tables(n_modes, mode, dagger)
+    rows, sign = _mode_entries(n_modes, mode, dagger)
     out = np.zeros_like(vector)
-    out[src ^ (1 << mode)] = sign * vector[src]
+    out[rows] = sign * vector[rows ^ (1 << mode)]
     return out
 
 
@@ -319,18 +316,18 @@ def apply_operator_string(
 def creation_matrix(n_modes: int, mode: int) -> np.ndarray:
     """Dense ``2**n x 2**n`` matrix of cdag_mode."""
     dim = _dim(n_modes)
-    src, sign = _op_tables(n_modes, mode, dagger=True)
+    rows, sign = _mode_entries(n_modes, mode, dagger=True)
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[src ^ (1 << mode), src] = sign
+    mat[rows, rows ^ (1 << mode)] = sign
     return mat
 
 
 def annihilation_matrix(n_modes: int, mode: int) -> np.ndarray:
     """Dense ``2**n x 2**n`` matrix of c_mode."""
     dim = _dim(n_modes)
-    src, sign = _op_tables(n_modes, mode, dagger=False)
+    rows, sign = _mode_entries(n_modes, mode, dagger=False)
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[src ^ (1 << mode), src] = sign
+    mat[rows, rows ^ (1 << mode)] = sign
     return mat
 
 
@@ -350,9 +347,20 @@ def parity_matrix(n_modes: int) -> np.ndarray:
     return np.diag(signs).astype(np.complex128)
 
 
-def _require_property(kind: str, defect: float) -> None:
-    if not defect <= TOL_NORM:  # also rejects NaN
-        raise OperatorPropertyError(f"matrix violates {kind} property by {defect:.3e}")
+def _defect(kind: str, stack: np.ndarray) -> float:
+    """Largest max |M^dag M - 1| (unitary), |M - M^dag| (Hermitian), or that and |M M - M|
+    (projector) over a (K, d, d) stack; 0 for an empty stack, NaN for a NaN entry."""
+    if kind == "unitary":
+        gram = stack.conj().swapaxes(1, 2) @ stack
+        diag = np.arange(stack.shape[1])
+        gram[:, diag, diag] -= 1.0
+        return float(np.max(np.abs(gram), initial=0.0))
+    if kind not in ("hermitian", "projector"):
+        raise ValueError(f"unknown operator kind {kind!r}")
+    defect = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), initial=0.0)
+    if kind == "projector":
+        defect = np.maximum(defect, np.max(np.abs(stack @ stack - stack), initial=0.0))
+    return float(defect)
 
 
 @dataclass(frozen=True)
@@ -361,7 +369,14 @@ class FockOperator:
 
     ``kind`` is one of ``"unitary"``, ``"hermitian"``, ``"projector"``; the
     corresponding algebraic property is checked at construction within
-    TOL_NORM, and a violation raises OperatorPropertyError.
+    TOL_NORM, and a violation (NaN entries included) raises
+    OperatorPropertyError. ``matrix`` is a read-only private complex copy of
+    the array passed in; input that does not convert to a 2^n x 2^n array
+    raises DimensionMismatchError.
+
+    Inside the package, ``_from_blocks`` checks the protocol operators on their
+    2x2 blocks and ``lift_to_fock`` its own unitarity; both then pass the
+    measured defect to ``_checked``, which holds it to the same TOL_NORM.
     """
 
     n_modes: int
@@ -370,39 +385,60 @@ class FockOperator:
 
     def __post_init__(self) -> None:
         dim = _dim(self.n_modes)
-        if self.matrix.shape != (dim, dim):
+        try:
+            matrix = np.array(self.matrix, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatchError(f"operator matrix is not a numeric array: {exc}") from None
+        if matrix.shape != (dim, dim):
             raise DimensionMismatchError(
-                f"operator shape {self.matrix.shape} does not match {self.n_modes} modes"
+                f"operator shape {matrix.shape} does not match {self.n_modes} modes"
             )
-        m = self.matrix
-        if self.kind == "unitary":
-            defect = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
-        elif self.kind == "hermitian":
-            defect = np.max(np.abs(m - m.conj().T))
-        elif self.kind == "projector":
-            defect = max(
-                np.max(np.abs(m - m.conj().T)), np.max(np.abs(m @ m - m))
-            )
-        else:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        _require_property(self.kind, defect)
-        self.matrix.setflags(write=False)
+        self._seal(matrix, _defect(self.kind, matrix[None]))
+
+    def _seal(self, matrix: np.ndarray, defect: float) -> None:
+        """Store ``matrix`` read-only once its dense ``_defect`` passes TOL_NORM."""
+        if not defect <= TOL_NORM:  # also rejects NaN
+            raise OperatorPropertyError(f"matrix violates {self.kind} property by {defect:.3e}")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
-    def _prechecked_unitary(
-        cls, n_modes: int, matrix: np.ndarray, defect: float
+    def _checked(
+        cls, n_modes: int, matrix: np.ndarray, kind: str, defect: float
     ) -> "FockOperator":
-        """Unitary operator whose caller has measured its unitarity defect.
-
-        ``defect`` must equal the dense max |M^dag M - 1| of ``__post_init__``;
-        it is held to the same TOL_NORM, and the dense product is skipped.
-        """
-        _require_property("unitary", defect)
+        """Operator whose caller measured ``defect``; ``matrix`` is kept without a copy."""
         op = object.__new__(cls)
-        for name, value in (("n_modes", n_modes), ("matrix", matrix), ("kind", "unitary")):
-            object.__setattr__(op, name, value)
-        matrix.setflags(write=False)
+        object.__setattr__(op, "n_modes", n_modes)
+        object.__setattr__(op, "kind", kind)
+        op._seal(matrix, defect)
         return op
+
+    @classmethod
+    def _from_blocks(
+        cls, n_modes: int, kind: str, diagonal: np.ndarray, pairs=(), hop=(), back=()
+    ) -> "FockOperator":
+        """Operator M with full ``diagonal`` and, for each mask pair (p, q) in the
+        (K, 2) ``pairs``, ``M[q, p] = hop[k]`` and ``M[p, q] = back[k]``; zero elsewhere.
+
+        A mask in two blocks raises OperatorPropertyError. M is then a direct
+        sum of the (K, 2, 2) blocks and the 1x1 diagonal singles, and so are
+        M^dag M, M - M^dag and M M - M, so the blocks give the dense defect in
+        O(2^n). The one 2^n x 2^n array allocated is M itself.
+        """
+        dim = _dim(n_modes)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        p, q = pairs.T
+        single = np.bincount(pairs.ravel(), minlength=dim) == 0
+        if np.count_nonzero(single) != dim - 2 * len(pairs):
+            raise OperatorPropertyError(f"{kind} operator has a mask in two 2x2 blocks")
+        blocks = np.stack([diagonal[p], back, hop, diagonal[q]], axis=-1).reshape(-1, 2, 2)
+        singles = diagonal[single].reshape(-1, 1, 1)
+        defect = float(np.maximum(_defect(kind, blocks), _defect(kind, singles)))
+        matrix = np.zeros((dim, dim), dtype=np.complex128)
+        np.fill_diagonal(matrix, diagonal)
+        matrix[q, p] = hop
+        matrix[p, q] = back
+        return cls._checked(n_modes, matrix, kind, defect)
 
     def apply(self, state: FockState) -> FockState:
         if state.n_modes != self.n_modes:

@@ -40,21 +40,22 @@ sigma~_z)/2 and Q = (1 - sigma_x - sigma~_x)/2 are true projectors, and the
 gate is 1 - 2 P Q exactly.
 
 The off-diagonal part of sigma_x and sigma_y comes from h = cdag_i c_j (odd
-kind) or h = cdag_i cdag_j (even kind), whose (row, column, sign) table is
-composed from the sign rule of ``fock``. That keeps the Jordan-Wigner sign
-right for non-adjacent and reversed pairs. Every gate is one zeroed 2^n x 2^n
-matrix plus O(2^n) indexed writes.
+kind) or h = cdag_i cdag_j (even kind), whose (row, column, sign) table reads
+its signs from the Jordan-Wigner tables of ``fock``. That keeps the sign
+right for non-adjacent and reversed pairs.
 
-Unitarity is checked on the gate's 2x2 blocks, not by the dense
-M^dag M of ``FockOperator``. Each hop of a rotation, Hadamard or CNOT couples
-one column mask with one row mask, the pairs of the two kinds are disjoint,
-and every other mask only meets the diagonal (``parity_gate`` is all
-diagonal). So M is a direct sum of 2x2 blocks B and 1x1 entries, M^dag M is
-block diagonal with blocks B^dag B and exact zeros elsewhere, and the largest
-|B^dag B - 1| is the same number as the dense max |M^dag M - 1|. The check
-costs O(2^n) arithmetic plus one O(4^n) scan confirming that no nonzero entry
-lies outside the blocks, instead of an O(8^n) product; it allocates nothing
-of size 2^n x 2^n beside the gate itself.
+Every operator built here, gate, Pauli or projector, is a diagonal plus
+disjoint 2x2 blocks: each hop couples one column mask with one row mask, the
+pairs of the two kinds are disjoint, and ``parity_gate``, the sigma_z Pauli
+and ``occupation_projector`` are diagonal. Each is handed to ``fock`` as its
+full diagonal, its mask pairs and the two off-diagonal entries of each block.
+``fock`` rejects a mask that lies in two blocks, writes the one dense matrix
+itself, and checks the operator's kind (unitary, Hermitian or projector) on
+the 2x2 blocks and the 1x1 diagonal singles. M is a direct sum of those, so
+M^dag M, M - M^dag and M M - M are too, and the largest block residual is the
+dense defect. The check costs O(2^n) and scans no dense matrix for nonzero
+entries, since nothing can lie outside the blocks; nothing of size 2^n x 2^n
+is allocated beside the operator itself.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .errors import (
     DimensionMismatchError,
     ImpossibleBranchError,
     NotNormalizedError,
-    OperatorPropertyError,
     OverlappingPairsError,
     UnknownStateError,
     ZeroNormError,
@@ -80,6 +80,8 @@ from .fock import (
     FockState,
     TOL_NORM,
     TOL_ZERO,
+    _dim,
+    _mode_tables,
     apply_operator_string,
     vacuum_state,
     vector_parity,
@@ -119,19 +121,14 @@ class QubitEncoding:
 
 
 def _ambient_modes(n_modes: int | None, *mode_groups: tuple[int, ...]) -> int:
-    top = max(m for group in mode_groups for m in group)
-    if n_modes is None:
-        return top + 1
-    if top >= n_modes:
-        raise DimensionMismatchError(
-            f"mode {top} does not fit in {n_modes} modes"
-        )
-    return n_modes
-
-
-def _jw_sign(masks: np.ndarray, mode: int) -> np.ndarray:
-    """Sign (-1)^(occupied modes below ``mode``) that c_mode and cdag_mode pick up."""
-    return 1.0 - 2.0 * (np.bitwise_count(masks & ((1 << mode) - 1)) & 1)
+    """Mode count of the operator's Fock space, checked before anything is allocated."""
+    modes = [m for group in mode_groups for m in group]
+    n = max(modes) + 1 if n_modes is None else n_modes
+    outside = [m for m in modes if not 0 <= m < n]
+    if outside:
+        raise DimensionMismatchError(f"mode {outside[0]} does not fit in {n} modes")
+    _dim(n)
+    return n
 
 
 def _dictionary_tables(
@@ -155,9 +152,11 @@ def _dictionary_tables(
         sector, z = 1 - (occ_i ^ occ_j), occ_i + occ_j - 1
         cols = masks[(occ_i == 0) & (occ_j == 0)]
     # c_j (odd) or cdag_j (even) acts first, then cdag_i
+    c, cdag = _mode_tables(n_modes)
     mid = cols ^ (1 << j)
-    sign = _jw_sign(cols, j) * _jw_sign(mid, i)
-    return sector.astype(np.float64), z.astype(np.float64), mid ^ (1 << i), cols, sign
+    rows = mid ^ (1 << i)
+    sign = (c if kind == "odd" else cdag)[j, mid] * cdag[i, rows]
+    return sector.astype(np.float64), z.astype(np.float64), rows, cols, sign
 
 
 def pauli(encoding: QubitEncoding, axis: Axis, n_modes: int | None = None) -> FockOperator:
@@ -167,45 +166,10 @@ def pauli(encoding: QubitEncoding, axis: Axis, n_modes: int | None = None) -> Fo
     n = _ambient_modes(n_modes, encoding.pair)
     _, z, rows, cols, sign = _dictionary_tables(encoding.pair, encoding.kind, n)
     if axis == "z":
-        return FockOperator(n, np.diag(z.astype(np.complex128)), "hermitian")
+        return FockOperator._from_blocks(n, "hermitian", z)
     hop = sign if axis == "x" else -1j * sign
-    matrix = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    matrix[rows, cols] = hop
-    matrix[cols, rows] = np.conj(hop)
-    return FockOperator(n, matrix, "hermitian")
-
-
-def _block_defect(matrix: np.ndarray, pairs: np.ndarray) -> float:
-    """max |M^dag M - 1| of a matrix that is a direct sum of 2x2 and 1x1 blocks.
-
-    Row k of ``pairs`` holds the two basis masks coupled by one 2x2 block B;
-    every other mask is a 1x1 block on the diagonal. M^dag M is then block
-    diagonal with blocks B^dag B and exact zeros elsewhere, so the largest
-    |B^dag B - 1| is the dense defect, read in O(2^n) instead of a 2^n x 2^n
-    product. That needs every entry outside the blocks to be zero, which a
-    count of nonzero entries checks (OperatorPropertyError otherwise). The
-    count reads the bits of the entries, six times faster than a complex
-    count, so a -0.0 outside the blocks is rejected too; a matrix that starts
-    from ``np.zeros`` never holds one there.
-    """
-    blocks = matrix[pairs[:, :, None], pairs[:, None, :]]
-    single = np.ones(matrix.shape[0], dtype=bool)
-    single[pairs] = False
-    singles = matrix.diagonal()[single]
-    inside = np.count_nonzero(blocks.view(np.uint64)) + np.count_nonzero(singles.view(np.uint64))
-    if np.count_nonzero(matrix.view(np.uint64)) != inside:
-        raise OperatorPropertyError("unitary gate has nonzero entries outside its 2x2 blocks")
-    gram = blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(2)
-    residuals = np.concatenate([gram.ravel(), singles.conj() * singles - 1.0])
-    return float(np.max(np.abs(residuals), initial=0.0))
-
-
-def _block_unitary(n_modes: int, matrix: np.ndarray, pairs: np.ndarray) -> FockOperator:
-    """Unitary FockOperator of a gate built from the 2x2 blocks in ``pairs``.
-
-    Checked by ``_block_defect`` against the same TOL_NORM as the dense check.
-    """
-    return FockOperator._prechecked_unitary(n_modes, matrix, _block_defect(matrix, pairs))
+    pairs = np.stack([cols, rows], axis=1)
+    return FockOperator._from_blocks(n, "hermitian", np.zeros(1 << n), pairs, hop, np.conj(hop))
 
 
 def _dictionary_exp(
@@ -217,10 +181,10 @@ def _dictionary_exp(
 ) -> FockOperator:
     """phase * exp(i lambda . sum_k sigma^(k)) over the dictionaries of ``kinds``.
 
-    The closed form of the module docstring, written into one zeroed matrix
-    whose 2x2 blocks each couple a hop's column with its row. Each weight and
-    ``phase`` is a scalar or a per-mask array; an array must depend only on
-    modes outside ``pair``, which the hops leave unchanged.
+    The closed form of the module docstring: one 2x2 block per hop, coupling
+    its column with its row, and the diagonal. Each weight and ``phase`` is a
+    scalar or a per-mask array; an array must depend only on modes outside
+    ``pair``, which the hops leave unchanged.
     """
     dim = 1 << n_modes
     wx, wy, wz = (np.broadcast_to(np.asarray(w, dtype=np.float64), (dim,)) for w in weights)
@@ -229,17 +193,18 @@ def _dictionary_exp(
     scale = 1j * np.sinc(theta / math.pi) * phase
     base = np.ones(dim)  # (1 - Pi) + Pi cos|lambda|, summed over the kinds
     z_sum = np.zeros(dim)
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    pairs = []
+    pairs, hops, backs = [], [], []
     for kind in kinds:
         sector, z, rows, cols, sign = _dictionary_tables(pair, kind, n_modes)
         base += sector * (np.cos(theta) - 1.0)
         z_sum += z
-        matrix[rows, cols] = (scale * (wx - 1j * wy))[cols] * sign
-        matrix[cols, rows] = (scale * (wx + 1j * wy))[cols] * sign
         pairs.append(np.stack([cols, rows], axis=1))
-    np.fill_diagonal(matrix, phase * base + scale * wz * z_sum)
-    return _block_unitary(n_modes, matrix, np.concatenate(pairs))
+        hops.append((scale * (wx - 1j * wy))[cols] * sign)
+        backs.append((scale * (wx + 1j * wy))[cols] * sign)
+    diagonal = phase * base + scale * wz * z_sum
+    return FockOperator._from_blocks(
+        n_modes, "unitary", diagonal, *map(np.concatenate, (pairs, hops, backs))
+    )
 
 
 def rotation(
@@ -318,8 +283,7 @@ def parity_gate(modes: tuple[int, ...], n_modes: int | None = None) -> FockOpera
         side_mask |= 1 << m
     masks = np.arange(1 << n)
     local = np.bitwise_count(masks & side_mask)
-    diag = np.where(local % 2 == 0, -1.0, 1.0).astype(np.complex128)
-    return _block_unitary(n, np.diag(diag), np.empty((0, 2), dtype=np.int64))
+    return FockOperator._from_blocks(n, "unitary", np.where(local % 2 == 0, -1.0, 1.0))
 
 
 def occupation_projector(mode: int, outcome: int, n_modes: int) -> FockOperator:
@@ -329,7 +293,7 @@ def occupation_projector(mode: int, outcome: int, n_modes: int) -> FockOperator:
     n = _ambient_modes(n_modes, (mode,))
     sel = ((np.arange(1 << n) >> mode) & 1).astype(np.float64)
     diag = sel if outcome else 1.0 - sel
-    return FockOperator(n, np.diag(diag.astype(np.complex128)), "projector")
+    return FockOperator._from_blocks(n, "projector", diag)
 
 
 # ---------------------------------------------------------------------------

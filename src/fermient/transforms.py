@@ -45,6 +45,7 @@ from .fock import (
     FockOperator,
     FockState,
     TOL_ZERO,
+    _defect,
     _dim,
     _mode_tables,
     make_state,
@@ -260,10 +261,7 @@ def lift_to_fock(bmap: BogoliubovMap, n_modes: int) -> FockOperator:
         block = (cols[:, :half].conj().T @ a_ops[h]).conj().T
         cols[:, half : 2 * half] = block * cdag[h, half : 2 * half]
 
-    gram = cols.conj().T @ cols
-    gram.flat[:: dim + 1] -= 1.0
-    unit_defect = float(np.max(np.abs(gram)))
-    del gram
+    unit_defect = _defect("unitary", cols[None])
     if not unit_defect <= _LIFT_TOL:
         raise LiftFailureError(f"lift not unitary, defect {unit_defect:.3e}")
     for i in range(n_modes):
@@ -276,7 +274,7 @@ def lift_to_fock(bmap: BogoliubovMap, n_modes: int) -> FockOperator:
             raise LiftFailureError(
                 f"conjugation residual {conj_defect:.3e} on mode {i}"
             )
-    return FockOperator._prechecked_unitary(n_modes, cols, unit_defect)
+    return FockOperator._checked(n_modes, cols, "unitary", unit_defect)
 
 
 def particle_hole(state: FockState, modes: Iterable[int]) -> FockState:

@@ -286,3 +286,27 @@ def test_failed_property_check_raises_operator_property_error(kind, matrix):
     with pytest.raises(DimensionMismatchError) as info:
         FockOperator(3, matrix, kind=kind)
     assert not isinstance(info.value, OperatorPropertyError)
+
+
+def test_fock_operator_keeps_a_private_complex_copy():
+    m = np.eye(2)
+    op = FockOperator(1, m, "unitary")
+    m[0, 0] = 2.0  # the caller's array stays writable
+    assert op.matrix[0, 0] == 1.0
+    assert op.matrix.dtype == np.complex128 and not op.matrix.flags.writeable
+    flip = FockOperator(1, [[0, 1], [1, 0]], "hermitian")
+    assert np.array_equal(flip.matrix, np.array([[0, 1], [1, 0]]))
+
+
+@pytest.mark.parametrize("bad", [[[1, 0], [0]], [[1, 0, 0]], "eye", None])
+def test_fock_operator_rejects_input_that_is_no_square_matrix(bad):
+    with pytest.raises(DimensionMismatchError):
+        FockOperator(1, bad, "unitary")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_fock_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(NotNormalizedError):
+        FockState(1, [bad, 0.0], "even")
+    with pytest.raises(NotNormalizedError):
+        FockState(2, [0.0, bad, 1.0, 0.0], "odd")

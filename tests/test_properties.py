@@ -23,7 +23,6 @@ from fermient import (
     lift_to_fock,
     make_state,
     particle_hole_map,
-    protocols,
     random_bogoliubov,
     random_state,
     transforms,
@@ -37,9 +36,17 @@ from fermient.entanglement import (
     majorization_stack,
     reduced_state,
 )
-from fermient.fock import TOL_ZERO, number_matrix
+from fermient.fock import TOL_NORM, TOL_ZERO, FockOperator, number_matrix
 from fermient.linalg import hermitian_eigensystem
-from fermient.protocols import QubitEncoding, cnot, hadamard, parity_gate, pauli, rotation
+from fermient.protocols import (
+    QubitEncoding,
+    cnot,
+    hadamard,
+    occupation_projector,
+    parity_gate,
+    pauli,
+    rotation,
+)
 from fermient.transforms import normal_form
 
 from conftest import (
@@ -454,14 +461,17 @@ def test_gates_make_no_eigensolve(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the blockwise unitarity check of the gates
+# the blockwise property check of the protocol operators
 # ---------------------------------------------------------------------------
 
-_GATES = ("rotation", "rotation-both", "hadamard", "cnot", "cnot-both", "parity")
+_OPERATORS = (
+    "rotation", "rotation-both", "hadamard", "cnot", "cnot-both", "parity",
+    "pauli-x", "pauli-y", "pauli-z", "projector-0", "projector-1",
+)
 
 
-def _gate_and_oracle(name, n, modes, kind, weights):
-    """A gate on the first one or two pairs of ``modes`` and its dense oracle."""
+def _operator_and_oracle(name, n, modes, kind, weights):
+    """An operator on the first one or two pairs of ``modes`` and its dense oracle."""
     a, b, c, d = modes
     enc = QubitEncoding((a, b), kind)
     if name.startswith("rotation"):
@@ -474,68 +484,128 @@ def _gate_and_oracle(name, n, modes, kind, weights):
         both = name == "cnot-both"
         gate = cnot(enc, QubitEncoding((c, d), kind), n, both)
         return gate, oracle_cnot((a, b), (c, d), kind, n, both)
+    if name.startswith("pauli"):
+        axis = name[-1]
+        return pauli(enc, axis, n), oracle_pauli((a, b), kind, axis, n)
+    if name.startswith("projector"):
+        outcome, occupied = int(name[-1]), number_matrix(n, a)
+        return occupation_projector(a, outcome, n), occupied if outcome else np.eye(1 << n) - occupied
     side = (c, a)
     return parity_gate(side, n), -oracle_exp(math.pi * sum(number_matrix(n, m) for m in side))
 
 
-def _built_with_block_check(name, n, modes, kind, weights):
-    """Build a gate and record (matrix, pairs, defect) of each block check it ran."""
-    seen = []
-    original = protocols._block_defect
+def _spied(build):
+    """Run ``build``, recording the arguments of each block construction and each checked defect.
 
-    def spy(matrix, pairs):
-        defect = original(matrix, pairs)
-        seen.append((matrix.copy(), pairs, defect))
-        return defect
+    Returns (result, blocks, checks): ``blocks`` holds (n, kind, diagonal,
+    pairs, hop, back) per ``FockOperator._from_blocks`` call, ``checks`` holds
+    (matrix, kind, defect) per ``FockOperator._checked`` call, and ``result``
+    is the OperatorPropertyError if one was raised.
+    """
+    blocks, checks = [], []
+    from_blocks = FockOperator._from_blocks.__func__
+    checked = FockOperator._checked.__func__
+
+    def block_spy(cls, n_modes, kind, diagonal, *entries):
+        pairs, hop, back = entries or (np.empty((0, 2), dtype=np.int64), np.empty(0), np.empty(0))
+        blocks.append((n_modes, kind, diagonal, pairs, hop, back))
+        return from_blocks(cls, n_modes, kind, diagonal, *entries)
+
+    def check_spy(cls, n_modes, matrix, kind, defect):
+        checks.append((matrix.copy(), kind, defect))
+        return checked(cls, n_modes, matrix, kind, defect)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocols, "_block_defect", spy)
-        gate, want = _gate_and_oracle(name, n, modes, kind, weights)
-    assert len(seen) == 1
-    return gate, want, seen[0]
+        mp.setattr(FockOperator, "_from_blocks", classmethod(block_spy))
+        mp.setattr(FockOperator, "_checked", classmethod(check_spy))
+        try:
+            result = build()
+        except OperatorPropertyError as exc:
+            result = exc
+    return result, blocks, checks
 
 
-def _dense_defect(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
+def _unitary_defect(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
-@given(st.sampled_from(_GATES), distinct_modes(4), _KIND, st.tuples(_WEIGHT, _WEIGHT, _WEIGHT))
+def _hermitian_defect(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
+def _projector_defect(m: np.ndarray) -> float:
+    return max(_hermitian_defect(m), float(np.max(np.abs(m @ m - m))))
+
+
+#: an independent dense oracle of each kind's defect
+_DENSE_DEFECT = {
+    "unitary": _unitary_defect,
+    "hermitian": _hermitian_defect,
+    "projector": _projector_defect,
+}
+
+
+@given(st.sampled_from(_OPERATORS), distinct_modes(4), _KIND, st.tuples(_WEIGHT, _WEIGHT, _WEIGHT))
 @example("rotation", (6, (5, 0, 1, 2)), "odd", (0.0, 0.0, 0.0))
 @example("rotation-both", (4, (3, 1, 0, 2)), "even", (0.0, math.pi / 2, 0.0))
 @example("cnot-both", (6, (4, 1, 5, 0)), "odd", (0.0, 0.0, 0.0))
 @example("parity", (5, (0, 2, 4, 1)), "even", (0.0, 0.0, 0.0))
+@example("pauli-y", (5, (4, 1, 0, 2)), "even", (0.0, 0.0, 0.0))
+@example("projector-0", (4, (3, 0, 1, 2)), "odd", (0.0, 0.0, 0.0))
 def test_block_check_equals_dense_check(name, case, kind, weights):
     n, modes = case
-    gate, want, (matrix, _, defect) = _built_with_block_check(name, n, modes, kind, weights)
-    assert np.array_equal(matrix, gate.matrix)
-    assert (gate.n_modes, gate.kind, gate.matrix.flags.writeable) == (n, "unitary", False)
-    assert abs(defect - _dense_defect(gate.matrix)) <= 1e-15
-    assert np.max(np.abs(gate.matrix - want)) <= _GATE_TOL
+    (op, want), blocks, checks = _spied(lambda: _operator_and_oracle(name, n, modes, kind, weights))
+    assert len(blocks) == len(checks) == 1
+    (_, block_kind, diagonal, pairs, hop, back), (matrix, checked_kind, defect) = blocks[0], checks[0]
+    assert block_kind == checked_kind == op.kind
+    assert (op.n_modes, op.matrix.flags.writeable) == (n, False)
+    assert np.array_equal(matrix, op.matrix)
+    # the written matrix holds the diagonal and the blocks, and nothing else
+    p, q = pairs.T
+    assert np.array_equal(matrix.diagonal(), diagonal)
+    assert np.array_equal(matrix[q, p], hop) and np.array_equal(matrix[p, q], back)
+    matrix[q, p] = matrix[p, q] = 0.0
+    np.fill_diagonal(matrix, 0.0)
+    assert not matrix.any()
+    assert abs(defect - _DENSE_DEFECT[op.kind](op.matrix)) <= 1e-15
+    assert np.max(np.abs(op.matrix - want)) <= _GATE_TOL
 
 
-@given(st.sampled_from(_GATES), distinct_modes(4), _KIND, st.tuples(_WEIGHT, _WEIGHT, _WEIGHT))
+@given(st.sampled_from(_OPERATORS), distinct_modes(4), _KIND, st.tuples(_WEIGHT, _WEIGHT, _WEIGHT))
 def test_block_check_rejects_corrupted_gates(name, case, kind, weights):
     n, modes = case
-    _, _, (matrix, pairs, _) = _built_with_block_check(name, n, modes, kind, weights)
-    # an entry inside a block: the largest of the first block, or a diagonal single
+    _, [(_, op_kind, diagonal, pairs, hop, back)], _ = _spied(
+        lambda: _operator_and_oracle(name, n, modes, kind, weights)
+    )
+    entries = {"diagonal": diagonal, "hop": hop, "back": back}
+    # the largest entry of the first block, or of the diagonal when there is none
     if len(pairs):
-        block = matrix[np.ix_(pairs[0], pairs[0])]
-        p, q = np.unravel_index(np.argmax(np.abs(block)), (2, 2))
-        inside = (pairs[0][p], pairs[0][q])
+        places = [("diagonal", pairs[0, 0]), ("diagonal", pairs[0, 1]), ("hop", 0), ("back", 0)]
     else:
-        inside = (0, 0)
-    # two masks in different blocks; singles are numbered after the pairs
-    block_of = len(pairs) + np.arange(1 << n)
-    block_of[pairs] = np.arange(len(pairs))[:, None]
-    outside = (0, int(np.flatnonzero(block_of != block_of[0])[0]))
+        places = [("diagonal", int(np.argmax(np.abs(diagonal))))]
+    array, index = max(places, key=lambda place: abs(entries[place[0]][place[1]]))
 
-    scaled, twisted, stray, broken = (matrix.copy() for _ in range(4))
-    scaled[inside] *= 1.0 + 1e-8
-    twisted[inside] *= np.exp(1e-8j)  # keeps column norms, moves the off-diagonal of B^dag B
-    stray[outside] = 1e-6
-    broken[inside] = np.nan
-    for bent in (scaled, twisted):
-        assert abs(protocols._block_defect(bent, pairs) - _dense_defect(bent)) <= 1e-15
-    for bad in (scaled, stray, broken):
-        with pytest.raises(OperatorPropertyError):
-            protocols._block_unitary(n, bad, pairs)
+    def corrupted(factor):
+        bent = {key: np.array(value, dtype=np.complex128) for key, value in entries.items()}
+        bent[array][index] *= factor
+        return FockOperator._from_blocks(n, op_kind, bent["diagonal"], pairs, bent["hop"], bent["back"])
+
+    raised = []
+    # scaled, and twisted (which keeps a unitary's column norms, moving B^dag B off the diagonal)
+    for factor in (1.0 + 1e-8, np.exp(1e-8j)):
+        result, _, [(matrix, _, defect)] = _spied(lambda: corrupted(factor))
+        dense = _DENSE_DEFECT[op_kind](matrix)
+        assert abs(defect - dense) <= 1e-15
+        raised.append(isinstance(result, OperatorPropertyError))
+        assert raised[-1] == (dense > TOL_NORM)
+    assert any(raised)
+    with pytest.raises(OperatorPropertyError):
+        corrupted(np.nan)
+    # two blocks share a mask
+    if len(pairs):
+        shared, shared_hop, shared_back = pairs.copy(), hop, back
+        shared[-1, 1] = shared[0, 0]
+    else:
+        shared, shared_hop, shared_back = np.array([[0, 1], [1, 2]]), np.zeros(2), np.zeros(2)
+    with pytest.raises(OperatorPropertyError, match="two 2x2 blocks"):
+        FockOperator._from_blocks(n, op_kind, diagonal, shared, shared_hop, shared_back)

@@ -647,6 +647,8 @@ def test_gate_check_allocates_no_second_dense_matrix():
         lambda: cnot(odd, QubitEncoding((0, 1), "odd"), 10),
         lambda: cnot(even, QubitEncoding((0, 1), "even"), 10, both_kinds=True),
         lambda: parity_gate((1, 2, 6), 10),
+        lambda: pauli(odd, "x", 10),
+        lambda: occupation_projector(3, 1, 10),
     )
     tracemalloc.start()
     try:
@@ -659,3 +661,25 @@ def test_gate_check_allocates_no_second_dense_matrix():
             del gate
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: occupation_projector(-1, 1, 3),
+        lambda: parity_gate((-1,)),
+        lambda: rotation(QubitEncoding((0, 12), "odd"), (0.3, -0.7, 0.5)),
+        lambda: pauli(QubitEncoding((0, 12), "odd"), "x"),
+        lambda: occupation_projector(0, 1, 13),
+    ],
+    ids=["negative-projector", "negative-parity", "rotation-13", "pauli-13", "projector-13"],
+)
+def test_out_of_range_modes_raise_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatchError):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
