@@ -96,12 +96,13 @@ class FockState:
     parity:
         Number-parity tag of the support, ``"even"`` or ``"odd"``.
 
-    Construction rejects a NaN or infinite amplitude (NotNormalizedError) and
-    a tag that contradicts the support: a vector holding more than TOL_NORM
-    of its weight outside the tagged sector raises WrongParityError. The zero
-    vector is accepted under either tag, because ``apply_creation`` and
-    ``apply_annihilation`` may return it by design; for the same reason the
-    norm is not checked.
+    Construction rejects a non-finite weight total ``sum |v|^2`` (a NaN or
+    infinite amplitude, or finite amplitudes whose squares overflow, from
+    about 1e154) with NotNormalizedError, and a tag that contradicts the
+    support: more than TOL_NORM of the weight outside the tagged sector
+    raises WrongParityError. The zero vector is accepted under either tag,
+    because ``apply_creation`` and ``apply_annihilation`` may return it by
+    design; for the same reason the norm is not checked.
     """
 
     n_modes: int
@@ -119,7 +120,7 @@ class FockState:
             raise WrongParityError(f"parity tag must be 'even' or 'odd', got {self.parity!r}")
         weights = np.abs(vector) ** 2
         total = float(np.sum(weights))
-        if not math.isfinite(total):  # a NaN or infinite amplitude
+        if not math.isfinite(total):  # a NaN or infinite amplitude, or overflowing weights
             raise NotNormalizedError(f"state vector has non-finite weight {total}")
         outside = _mask_parities(self.n_modes) != (self.parity == "odd")
         w_out = float(np.sum(weights[outside]))
@@ -245,7 +246,7 @@ def _mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     masks = np.arange(1 << n)
     bits = 1 << np.arange(n)[:, None]
-    sign = (1 - 2 * (np.bitwise_count(masks & (bits - 1)) & 1)).astype(np.int8)
+    sign = 1 - 2 * (np.bitwise_count(masks & (bits - 1)) & 1).astype(np.int8)
     occupied = (masks & bits) != 0
     tables = (np.where(occupied, 0, sign), np.where(occupied, sign, 0))
     for coef in tables:

@@ -470,6 +470,15 @@ _OPERATORS = (
 )
 
 
+def _expected_kind(name: str) -> str:
+    """The public kind each protocol operator must be built as."""
+    if name.startswith("pauli"):
+        return "hermitian"
+    if name.startswith("projector"):
+        return "projector"
+    return "unitary"
+
+
 def _operator_and_oracle(name, n, modes, kind, weights):
     """An operator on the first one or two pairs of ``modes`` and its dense oracle."""
     a, b, c, d = modes
@@ -558,7 +567,7 @@ def test_block_check_equals_dense_check(name, case, kind, weights):
     assert len(blocks) == len(checks) == 1
     (_, block_kind, diagonal, pairs, hop, back), (matrix, checked_kind, defect) = blocks[0], checks[0]
     assert block_kind == checked_kind == op.kind
-    assert (op.n_modes, op.matrix.flags.writeable) == (n, False)
+    assert (op.n_modes, op.kind, op.matrix.flags.writeable) == (n, _expected_kind(name), False)
     assert np.array_equal(matrix, op.matrix)
     # the written matrix holds the diagonal and the blocks, and nothing else
     p, q = pairs.T
