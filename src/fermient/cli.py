@@ -18,11 +18,12 @@ import numpy as np
 from . import __version__
 from .correlations import extended_density, one_body, qsp_entropy, sp_entropy, von_neumann_term
 from .entanglement import (
+    REGISTERED_ENTROPIES,
     ModePartition,
+    _extended_bounds,
     _matched_entropy,
     bipartite_entropy,
     concurrence,
-    majorization_check,
     majorization_stack,
     reduced_state,
 )
@@ -269,25 +270,21 @@ def _cmd_bipartition(args) -> tuple[int, dict]:
     }
     code = 0
     if state.n_modes == 4 and len(part.side_a) in (1, 2):
-        verdict = majorization_check(state, part)
-        holds = (
-            verdict["lambda_max"] <= verdict["f_plus"] + tol
-            and all(
-                entry["value"] >= entry["bound"] - tol
-                for entry in verdict["entropies"].values()
-            )
-        )
-        payload["lambda_max"] = float(verdict["lambda_max"])
-        payload["f_plus"] = float(verdict["f_plus"])
-        payload["entropies"] = {
-            name: {
-                "value": float(entry["value"]),
-                "bound": float(entry["bound"]),
-                "holds": bool(entry["value"] >= entry["bound"] - tol),
-            }
-            for name, entry in verdict["entropies"].items()
-        }
-        payload["holds"] = bool(holds)
+        # the Lemma-2 quantities from the reduced states above, plus the extended spectrum
+        f_plus, bounds = _extended_bounds(state.vector[None], 0)
+        lambda_max, f_plus = float(rho_a.spectrum()[0]), float(f_plus[0])
+        holds = lambda_max <= f_plus + tol
+        entropies = {}
+        for name, fn in REGISTERED_ENTROPIES.items():
+            value = float(_matched_entropy(rho_a, rho_b, fn))
+            bound = float(bounds[name][0])
+            entry_holds = value >= bound - tol
+            holds = holds and entry_holds
+            entropies[name] = {"value": value, "bound": bound, "holds": entry_holds}
+        payload["lambda_max"] = lambda_max
+        payload["f_plus"] = f_plus
+        payload["entropies"] = entropies
+        payload["holds"] = holds
         if not holds:
             code = 1
     return code, _report("bipartition", payload, {"lemma": tol})

@@ -341,6 +341,23 @@ class MajorizationStack(NamedTuple):
     bounds: dict[str, np.ndarray]
 
 
+def _extended_bounds(vectors: np.ndarray, first: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``f_plus`` and ``bounds`` of ``MajorizationStack`` for an (S, 16) stack.
+
+    Builds and checks the one-body and extended matrices of every state, then
+    diagonalizes the extended stack once; a failure names the sample index,
+    counted from ``first``.
+    """
+    rho, kappa = _one_body_stack(vectors, 4)
+    _check_one_body(rho, kappa, first)
+    extended = hermitian_eigenvalues(_extended_stack(rho, kappa, first))
+    bounds = {
+        name: _elementwise(fn, extended).sum(axis=1) / 4.0
+        for name, fn in REGISTERED_ENTROPIES.items()
+    }
+    return extended[:, :4].mean(axis=1), bounds
+
+
 def majorization_stack(
     vectors: np.ndarray, parts: Sequence[ModePartition], first: int = 0
 ) -> MajorizationStack:
@@ -364,9 +381,7 @@ def majorization_stack(
         t = _coefficient_stack(vectors, part)
         spec_a = _reduced_spectra(t @ t.conj().swapaxes(1, 2), first)
         spectra.append((spec_a, _reduced_spectra(t.swapaxes(1, 2) @ t.conj(), first)))
-    rho, kappa = _one_body_stack(vectors, 4)
-    _check_one_body(rho, kappa, first)
-    extended = hermitian_eigenvalues(_extended_stack(rho, kappa, first))
+    f_plus, bounds = _extended_bounds(vectors, first)
     shape = (len(vectors), len(parts))
     lambda_max = np.empty(shape)
     values = {name: np.empty(shape) for name in REGISTERED_ENTROPIES}
@@ -380,16 +395,7 @@ def majorization_stack(
                 SideMismatchError, "side entropies differ: {} vs {}", first, s_a, s_b,
             )
             values[name][:, p] = s_a
-    bounds = {
-        name: _elementwise(fn, extended).sum(axis=1) / 4.0
-        for name, fn in REGISTERED_ENTROPIES.items()
-    }
-    return MajorizationStack(
-        lambda_max=lambda_max,
-        f_plus=extended[:, :4].mean(axis=1),
-        values=values,
-        bounds=bounds,
-    )
+    return MajorizationStack(lambda_max=lambda_max, f_plus=f_plus, values=values, bounds=bounds)
 
 
 def majorization_check(state: FockState, part: ModePartition) -> dict:

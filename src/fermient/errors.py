@@ -10,6 +10,14 @@ class FermionError(Exception):
     """Base class for all library errors."""
 
 
+class ArgumentError(FermionError, ValueError):
+    """Argument outside the values a function accepts: a bad mode, kind, axis or outcome.
+
+    Also a ValueError, which such arguments raised before this class existed,
+    so handlers written for that class still catch it.
+    """
+
+
 class MixedParityError(FermionError):
     """State mixes even and odd fermion-number parity sectors."""
 

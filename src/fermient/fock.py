@@ -30,6 +30,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     DimensionMismatchError,
     MixedParityError,
     NotNormalizedError,
@@ -305,7 +306,7 @@ def apply_operator_string(
         elif kind == "annihilate":
             state = apply_annihilation(state, mode)
         else:
-            raise ValueError(f"unknown factor kind {kind!r}")
+            raise ArgumentError(f"unknown factor kind {kind!r}")
     return state
 
 
@@ -335,6 +336,8 @@ def annihilation_matrix(n_modes: int, mode: int) -> np.ndarray:
 def number_matrix(n_modes: int, mode: int) -> np.ndarray:
     """Dense matrix of the occupation-number operator n_mode = cdag_mode c_mode."""
     dim = _dim(n_modes)
+    if not 0 <= mode < n_modes:
+        raise DimensionMismatchError(f"mode {mode} out of range for {n_modes} modes")
     masks = np.arange(dim, dtype=np.uint64)
     occ = ((masks >> np.uint64(mode)) & np.uint64(1)).astype(np.float64)
     return np.diag(occ).astype(np.complex128)

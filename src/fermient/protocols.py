@@ -56,6 +56,11 @@ M^dag M, M - M^dag and M M - M are too, and the largest block residual is the
 dense defect. The check costs O(2^n) and scans no dense matrix for nonzero
 entries, since nothing can lie outside the blocks; nothing of size 2^n x 2^n
 is allocated beside the operator itself.
+
+The protocols cache operators, not arrays, with every phase folded into the
+closed form, and change a state only through ``FockOperator.apply``. The
+teleport circuit's product mixes two pairings and has no block form, so it
+is applied as its factors, the CNOT first and then the Hadamard.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ import numpy as np
 
 from .entanglement import ModePartition, reduced_state
 from .errors import (
+    ArgumentError,
     DimensionMismatchError,
     ImpossibleBranchError,
     NotNormalizedError,
@@ -84,7 +90,6 @@ from .fock import (
     _mode_tables,
     apply_operator_string,
     vacuum_state,
-    vector_parity,
 )
 
 Axis = Literal["x", "y", "z"]
@@ -105,11 +110,11 @@ class QubitEncoding:
     def __post_init__(self) -> None:
         i, j = self.pair
         if i == j:
-            raise ValueError("encoding modes must be distinct")
+            raise ArgumentError("encoding modes must be distinct")
         if i < 0 or j < 0:
-            raise ValueError("encoding modes must be non-negative")
+            raise ArgumentError("encoding modes must be non-negative")
         if self.kind not in ("odd", "even"):
-            raise ValueError(f"unknown encoding kind {self.kind!r}")
+            raise ArgumentError(f"unknown encoding kind {self.kind!r}")
 
     @property
     def logical_indices(self) -> tuple[int, int]:
@@ -162,7 +167,7 @@ def _dictionary_tables(
 def pauli(encoding: QubitEncoding, axis: Axis, n_modes: int | None = None) -> FockOperator:
     """Dense Pauli operator of the encoding's dictionary along ``axis``."""
     if axis not in ("x", "y", "z"):
-        raise ValueError(f"unknown axis {axis!r}")
+        raise ArgumentError(f"unknown axis {axis!r}")
     n = _ambient_modes(n_modes, encoding.pair)
     _, z, rows, cols, sign = _dictionary_tables(encoding.pair, encoding.kind, n)
     if axis == "z":
@@ -220,7 +225,7 @@ def rotation(
     """
     weights = tuple(float(w) for w in axis_weights)
     if len(weights) != 3 or not all(math.isfinite(w) for w in weights):
-        raise ValueError(f"rotation needs three finite weights, got {weights}")
+        raise ArgumentError(f"rotation needs three finite weights, got {weights}")
     n = _ambient_modes(n_modes, encoding.pair)
     kinds = _KINDS if both_kinds else (encoding.kind,)
     return _dictionary_exp(encoding.pair, kinds, n, weights)
@@ -259,7 +264,7 @@ def cnot(
             f"control pair {control.pair} overlaps target pair {target.pair}"
         )
     if not both_kinds and control.kind != target.kind:
-        raise ValueError("control and target encodings must share a kind")
+        raise ArgumentError("control and target encodings must share a kind")
     n = _ambient_modes(n_modes, control.pair, target.pair)
     if both_kinds:
         kinds = _KINDS
@@ -276,7 +281,7 @@ def parity_gate(modes: tuple[int, ...], n_modes: int | None = None) -> FockOpera
     """Local parity gate -exp(i pi N_side): -1 on even local parity, +1 on odd."""
     side = tuple(sorted(set(int(m) for m in modes)))
     if not side:
-        raise ValueError("parity gate needs a non-empty mode set")
+        raise ArgumentError("parity gate needs a non-empty mode set")
     n = _ambient_modes(n_modes, side)
     side_mask = 0
     for m in side:
@@ -289,7 +294,7 @@ def parity_gate(modes: tuple[int, ...], n_modes: int | None = None) -> FockOpera
 def occupation_projector(mode: int, outcome: int, n_modes: int) -> FockOperator:
     """Projector onto occupation ``outcome`` of ``mode``."""
     if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
+        raise ArgumentError("outcome must be 0 or 1")
     n = _ambient_modes(n_modes, (mode,))
     sel = ((np.arange(1 << n) >> mode) & 1).astype(np.float64)
     diag = sel if outcome else 1.0 - sel
@@ -321,7 +326,7 @@ class MeasurementResult:
 def measure_branch(state: FockState, mode: int, outcome: int) -> MeasurementResult:
     """Deterministically select one occupation branch of ``mode``."""
     if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
+        raise ArgumentError("outcome must be 0 or 1")
     if mode < 0 or mode >= state.n_modes:
         raise DimensionMismatchError(f"mode {mode} outside 0..{state.n_modes - 1}")
     vec = state.vector
@@ -334,11 +339,7 @@ def measure_branch(state: FockState, mode: int, outcome: int) -> MeasurementResu
             f"occupation {outcome} of mode {mode} has probability {prob:.3e}"
         )
     post = np.where(keep, vec, 0.0) / math.sqrt(prob * total)
-    return MeasurementResult(
-        outcome=outcome,
-        probability=prob,
-        state=FockState(state.n_modes, post, vector_parity(post, state.n_modes)),
-    )
+    return MeasurementResult(outcome, prob, FockState(state.n_modes, post, state.parity))
 
 
 def measure_occupation(
@@ -366,24 +367,21 @@ _CONTROL_PAIR = (2, 3)
 _TARGET_PAIR = (0, 1)
 _BOB_PAIR = (4, 5)
 
-_TELEPORT_GATES: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_HALF = math.pi / 2.0
+
+_TELEPORT_GATES: dict[str, tuple[FockOperator, ...]] = {}
 
 
-def _teleport_gates(kind: Kind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _teleport_gates(kind: Kind) -> tuple[FockOperator, ...]:
+    """The circuit's CNOT and Hadamard, then Bob's X and Z fixes i exp(-i pi/2 sigma)."""
     if kind not in _TELEPORT_GATES:
         ctrl = QubitEncoding(_CONTROL_PAIR, kind)
-        tgt = QubitEncoding(_TARGET_PAIR, kind)
-        bob = QubitEncoding(_BOB_PAIR, kind)
-        circuit = (
-            hadamard(ctrl, _TELEPORT_MODES).matrix
-            @ cnot(ctrl, tgt, _TELEPORT_MODES).matrix
+        _TELEPORT_GATES[kind] = (
+            cnot(ctrl, QubitEncoding(_TARGET_PAIR, kind), _TELEPORT_MODES),
+            hadamard(ctrl, _TELEPORT_MODES),
+            _dictionary_exp(_BOB_PAIR, (kind,), _TELEPORT_MODES, (-_HALF, 0.0, 0.0), 1j),
+            _dictionary_exp(_BOB_PAIR, (kind,), _TELEPORT_MODES, (0.0, 0.0, -_HALF), 1j),
         )
-        half = math.pi / 2.0
-        x_corr = 1j * rotation(bob, (-half, 0.0, 0.0), _TELEPORT_MODES).matrix
-        z_corr = 1j * rotation(bob, (0.0, 0.0, -half), _TELEPORT_MODES).matrix
-        for gate in (circuit, x_corr, z_corr):
-            gate.setflags(write=False)
-        _TELEPORT_GATES[kind] = (circuit, x_corr, z_corr)
     return _TELEPORT_GATES[kind]
 
 
@@ -408,7 +406,15 @@ def _teleport_input(alpha: complex, beta: complex, kind: Kind) -> FockState:
         piece = apply_operator_string(vac, [("create", m) for m in modes])
         vec += coeff * piece.vector
     vec /= math.sqrt(2.0)
-    return FockState(_TELEPORT_MODES, vec, vector_parity(vec, _TELEPORT_MODES))
+    return FockState(_TELEPORT_MODES, vec, kind)
+
+
+def _read_out(state: FockState, modes, outcome: int, prob: float) -> tuple[FockState, float]:
+    """Select ``outcome`` on each of ``modes`` in turn; ``prob`` times each Born probability."""
+    for mode in modes:
+        step = measure_branch(state, mode, outcome)
+        state, prob = step.state, prob * step.probability
+    return state, prob
 
 
 @dataclass(frozen=True)
@@ -438,49 +444,37 @@ def run_teleportation(coefficients: tuple[complex, complex], kind: Kind) -> Tele
     """Teleport one pair-encoded qubit through the shared Bell resource.
 
     Alice holds modes 0..3 (entangled pair 0,1 and the input qubit on 2,3),
-    Bob holds modes 4,5. All four measurement branches are enumerated: the
-    control pair's first mode and the target pair's first mode are read out
-    (both modes of each pair for the even kind), the branch-conditioned
-    X/Z corrections are applied to Bob's pair, and Bob's logical 2x2 block
-    is compared with the input coordinates.
+    Bob holds modes 4,5. The cached CNOT acts first, then the cached
+    Hadamard. All four measurement branches are enumerated: the control
+    pair's first mode and the target pair's first mode are read out (both
+    modes of each pair for the even kind), Bob's cached X/Z fixes act as the
+    branch requires, and Bob's logical 2x2 block is compared with the input
+    coordinates.
     """
     alpha, beta = complex(coefficients[0]), complex(coefficients[1])
     weight = abs(alpha) ** 2 + abs(beta) ** 2
     if not abs(weight - 1.0) <= TOL_NORM:  # also rejects NaN
         raise NotNormalizedError(f"|alpha|^2 + |beta|^2 = {weight:.12f}, expected 1")
     if kind not in ("odd", "even"):
-        raise ValueError(f"unknown encoding kind {kind!r}")
+        raise ArgumentError(f"unknown encoding kind {kind!r}")
     psi_in = _teleport_input(alpha, beta, kind)
-    circuit, x_corr, z_corr = _teleport_gates(kind)
-    out_vec = circuit @ psi_in.vector
-    psi_out = FockState(_TELEPORT_MODES, out_vec, vector_parity(out_vec, _TELEPORT_MODES))
+    cnot_gate, hadamard_gate, x_fix, z_fix = _teleport_gates(kind)
+    psi_out = hadamard_gate.apply(cnot_gate.apply(psi_in))
 
     part = ModePartition(_TELEPORT_MODES, _BOB_PAIR)
     i0, i1 = QubitEncoding(_BOB_PAIR, kind).logical_indices
     target = np.array([beta, alpha], dtype=np.complex128)
+    read = 2 if kind == "even" else 1  # modes read out per pair, all with one outcome
 
     branches = []
     for m_ctrl in (0, 1):
-        first = measure_branch(psi_out, _CONTROL_PAIR[0], m_ctrl)
-        stage, prob = first.state, first.probability
-        if kind == "even":
-            follow = measure_branch(stage, _CONTROL_PAIR[1], m_ctrl)
-            stage, prob = follow.state, prob * follow.probability
+        stage, prob = _read_out(psi_out, _CONTROL_PAIR[:read], m_ctrl, 1.0)
         for m_tgt in (0, 1):
-            second = measure_branch(stage, _TARGET_PAIR[0], m_tgt)
-            branch_state, branch_prob = second.state, prob * second.probability
-            if kind == "even":
-                follow = measure_branch(branch_state, _TARGET_PAIR[1], m_tgt)
-                branch_state = follow.state
-                branch_prob *= follow.probability
-            vec = branch_state.vector
+            corrected, branch_prob = _read_out(stage, _TARGET_PAIR[:read], m_tgt, prob)
             if m_tgt:
-                vec = x_corr @ vec
+                corrected = x_fix.apply(corrected)
             if m_ctrl:
-                vec = z_corr @ vec
-            corrected = FockState(
-                _TELEPORT_MODES, vec, vector_parity(vec, _TELEPORT_MODES)
-            )
+                corrected = z_fix.apply(corrected)
             rho = reduced_state(corrected, part, "a")
             block = rho.matrix[np.ix_((i0, i1), (i0, i1))]
             fidelity = float(np.real(np.vdot(target, block @ target)))
@@ -507,7 +501,14 @@ _ALICE_PAIR = (0, 1)
 
 _SDC_MESSAGES = tuple(f"{i}{j}{k}" for i in "01" for j in "01" for k in "01")
 
-_SDC_UNITARIES: dict[str, np.ndarray] = {}
+#: (weights, phase) of Alice's dual-kind operation per first two bits; "00" applies nothing
+_SDC_OPERATIONS = {
+    "01": ((-_HALF, 0.0, 0.0), 1j),
+    "10": ((0.0, 0.0, -_HALF), 1j),
+    "11": ((0.0, -_HALF, 0.0), -1.0),
+}
+
+_SDC_UNITARIES: dict[str, FockOperator] = {}
 _SDC_CODES: dict[str, tuple[tuple[str, np.ndarray], ...]] = {}
 
 
@@ -523,42 +524,33 @@ def _sdc_seed(variant: str) -> FockState:
     elif variant == "psi00prime":
         tilde = full - vac.vector
     else:
-        raise ValueError(f"unknown seed variant {variant!r}")
-    vec = (bell + tilde) / 2.0
-    return FockState(_SDC_MODES, vec, vector_parity(vec, _SDC_MODES))
+        raise ArgumentError(f"unknown seed variant {variant!r}")
+    return FockState(_SDC_MODES, (bell + tilde) / 2.0, "even")
 
 
-def _sdc_unitary(bits: str) -> np.ndarray:
+def _sdc_unitary(bits: str) -> FockOperator:
     if bits not in _SDC_UNITARIES:
-        enc = QubitEncoding(_ALICE_PAIR, "odd")
-        half = math.pi / 2.0
-        if bits == "00":
-            op = np.eye(1 << _SDC_MODES, dtype=np.complex128)
-        elif bits == "01":
-            op = 1j * rotation(enc, (-half, 0.0, 0.0), _SDC_MODES, both_kinds=True).matrix
-        elif bits == "10":
-            op = 1j * rotation(enc, (0.0, 0.0, -half), _SDC_MODES, both_kinds=True).matrix
-        else:
-            op = -rotation(enc, (0.0, -half, 0.0), _SDC_MODES, both_kinds=True).matrix
-        op.setflags(write=False)
-        _SDC_UNITARIES[bits] = op
+        weights, phase = _SDC_OPERATIONS[bits]
+        _SDC_UNITARIES[bits] = _dictionary_exp(_ALICE_PAIR, _KINDS, _SDC_MODES, weights, phase)
     return _SDC_UNITARIES[bits]
 
 
 def superdense_encode(message: str, variant: str = "psi00") -> FockState:
     """Encode three classical bits with Alice-local operations on the seed.
 
-    The first two bits select identity or one of the dual-kind rotations
-    i exp(-i pi/2 (sigma_mu + sigma~_mu)) on Alice's pair; the third applies
-    her local parity gate.
+    The first two bits select nothing or one of the cached dual-kind
+    operations i exp(-i pi/2 (sigma_mu + sigma~_mu)) (mu = x, z) and
+    -exp(-i pi/2 (sigma_y + sigma~_y)) on Alice's pair; the third applies her
+    local parity gate afterwards. Each acts through ``FockOperator.apply``.
     """
     if len(message) != 3 or any(ch not in "01" for ch in message):
-        raise ValueError(f"message must be three bits, got {message!r}")
-    seed = _sdc_seed(variant)
-    vec = _sdc_unitary(message[:2]) @ seed.vector
+        raise ArgumentError(f"message must be three bits, got {message!r}")
+    state = _sdc_seed(variant)
+    if message[:2] != "00":
+        state = _sdc_unitary(message[:2]).apply(state)
     if message[2] == "1":
-        vec = parity_gate(_ALICE_PAIR, _SDC_MODES).matrix @ vec
-    return FockState(_SDC_MODES, vec, vector_parity(vec, _SDC_MODES))
+        state = parity_gate(_ALICE_PAIR, _SDC_MODES).apply(state)
+    return state
 
 
 def _code_family(variant: str) -> tuple[tuple[str, np.ndarray], ...]:

@@ -140,6 +140,13 @@ def test_make_state_validation():
         make_state(2, [0.5, 0.0, 0.0, 0.0], normalize=False)
 
 
+@pytest.mark.parametrize("matrix", [creation_matrix, annihilation_matrix, number_matrix])
+@pytest.mark.parametrize("mode", [3, 5, -1])
+def test_dense_mode_matrices_reject_a_mode_outside_the_system(matrix, mode):
+    with pytest.raises(DimensionMismatchError, match=f"mode {mode} out of range"):
+        matrix(3, mode)
+
+
 def test_make_state_normalizes():
     st = make_state(3, {0b011: 3.0, 0b101: 4.0})
     assert st.norm() == pytest.approx(1.0)

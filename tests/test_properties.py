@@ -188,9 +188,8 @@ def test_bipartition_builds_each_reduced_state_once(monkeypatch, capsys):
     eigensolves = _count_eigensolves(monkeypatch)
     assert cli.main(["bipartition", str(_GOLDEN / "even4.json"), "--a", "0,2"]) == 0
     capsys.readouterr()
-    # rho_A and rho_B for the spectrum and S_A, then majorization_check's
-    # rho_A, rho_B and extended matrix
-    assert eigensolves == [(1, 4, 4)] * 4 + [(1, 8, 8)]
+    # rho_A and rho_B for the spectrum and every entropy, then the extended matrix
+    assert eigensolves == [(1, 4, 4)] * 2 + [(1, 8, 8)]
 
 
 def test_lift_makes_no_eigensolve_and_no_dense_mode_matrix(monkeypatch):

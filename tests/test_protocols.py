@@ -6,10 +6,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fermient import FockState, basis_state, make_state, protocols, vacuum_state
+from fermient import (
+    FockOperator,
+    FockState,
+    apply_operator_string,
+    basis_state,
+    make_state,
+    protocols,
+    vacuum_state,
+)
 from fermient.correlations import extended_density
 from fermient.entanglement import ModePartition, bipartite_entropy, concurrence, reduced_state
 from fermient.errors import (
+    ArgumentError,
     DimensionMismatchError,
     ImpossibleBranchError,
     MixedParityError,
@@ -587,15 +596,74 @@ def test_split_fermion_resource_cannot_teleport():
 
 
 def test_cached_gate_arrays_are_read_only():
+    cached = []
     for kind in ("odd", "even"):
         run_teleportation((0.6, 0.8), kind)
-        for gate in protocols._TELEPORT_GATES[kind]:
-            assert not gate.flags.writeable
+        assert len(protocols._TELEPORT_GATES[kind]) == 4
+        cached += protocols._TELEPORT_GATES[kind]
     for message in ("000", "010", "100", "110"):
         superdense_encode(message)
-    assert set(protocols._SDC_UNITARIES) == {"00", "01", "10", "11"}
-    for op in protocols._SDC_UNITARIES.values():
-        assert not op.flags.writeable
+    # "00" applies nothing, so it caches nothing
+    assert set(protocols._SDC_UNITARIES) == {"01", "10", "11"}
+    cached += protocols._SDC_UNITARIES.values()
+    for gate in cached:
+        assert isinstance(gate, FockOperator)
+        assert gate.kind == "unitary"
+        assert not gate.matrix.flags.writeable
+
+
+def test_protocols_act_only_through_operator_apply(monkeypatch):
+    protocols._code_family("psi00")
+    calls = []
+    apply = FockOperator.apply
+
+    def counted(self, state):
+        calls.append(self)
+        return apply(self, state)
+
+    monkeypatch.setattr(FockOperator, "apply", counted)
+    for kind in ("odd", "even"):
+        calls.clear()
+        run_teleportation((0.6, 0.8), kind)
+        cnot_gate, hadamard_gate, x_fix, z_fix = protocols._TELEPORT_GATES[kind]
+        # the circuit, CNOT first, then the X fix on two branches and the Z fix on two
+        assert len(calls) == 6
+        assert calls[0] is cnot_gate and calls[1] is hadamard_gate
+        assert sorted(map(id, calls[2:])) == sorted(map(id, [x_fix, x_fix, z_fix, z_fix]))
+    calls.clear()
+    superdense_encode("111")
+    # the cached "11" operation, then the parity gate
+    assert len(calls) == 2
+    assert calls[0] is protocols._SDC_UNITARIES["11"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: QubitEncoding((1, 1), "odd"),
+        lambda: QubitEncoding((-1, 2), "odd"),
+        lambda: QubitEncoding((0, 1), "weird"),
+        lambda: pauli(QubitEncoding((0, 1), "odd"), "w", 2),
+        lambda: rotation(QubitEncoding((0, 1), "odd"), (math.nan, 0.0, 0.0), 2),
+        lambda: cnot(QubitEncoding((0, 1), "odd"), QubitEncoding((2, 3), "even"), 4),
+        lambda: parity_gate(()),
+        lambda: occupation_projector(0, 2, 3),
+        lambda: measure_branch(vacuum_state(2), 0, 2),
+        lambda: run_teleportation((0.6, 0.8), "weird"),
+        lambda: superdense_encode("1012"),
+        lambda: superdense_encode("101", "psi11"),
+        lambda: apply_operator_string(vacuum_state(2), [("flip", 0)]),
+    ],
+    ids=[
+        "repeated-mode", "negative-mode", "encoding-kind", "pauli-axis", "rotation-weights",
+        "cnot-kinds", "empty-parity-gate", "projector-outcome", "measure-outcome",
+        "teleport-kind", "sdc-message", "sdc-variant", "factor-kind",
+    ],
+)
+def test_bad_arguments_raise_argument_error_that_is_a_value_error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert isinstance(info.value, ArgumentError)
 
 
 # ---------------------------------------------------------------------------
