@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HermiticityDefectError
-from .fock import FockState, _mode_tables
+from .fock import FockState, _mode_tables, _require_unit_norm
 from .linalg import Spectrum, hermitian_eigensystem
 
 __all__ = [
@@ -61,8 +61,9 @@ def _raise_first(
         raise error(text if first is None else f"{text} at sample {first + k}")
 
 
-def _check_one_body(rho: np.ndarray, kappa: np.ndarray, first: int | None = None) -> None:
-    """Hermitian rho, antisymmetric kappa, occupations in [0, 1]; stacks (S, n, n)."""
+def _check_one_body(rho: np.ndarray, kappa: np.ndarray, first: int | None = None) -> np.ndarray:
+    """Hermitian rho, antisymmetric kappa, occupations in [0, 1]; stacks (S, n, n).
+    Returns the (S, n) occupation eigenvalues, descending."""
     _raise_first(
         np.max(np.abs(rho - rho.conj().swapaxes(1, 2)), axis=(1, 2)) > 1e-10,
         HermiticityDefectError, "one-body matrix is not Hermitian", first,
@@ -77,23 +78,30 @@ def _check_one_body(rho: np.ndarray, kappa: np.ndarray, first: int | None = None
         (low < -_EIG_TOL) | (high > 1 + _EIG_TOL), HermiticityDefectError,
         "occupation eigenvalues outside [0,1]: [{}, {}]", first, low, high,
     )
+    return occ[:, ::-1]
 
 
 @dataclass(frozen=True)
 class OneBodyDensity:
-    """Normal and anomalous one-body contractions of a pure state."""
+    """Normal and anomalous one-body contractions of a pure state; ``spectrum()`` holds
+    the occupations, descending, from the one diagonalization of the construction check."""
 
     rho: np.ndarray = field(repr=False)
     kappa: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        _check_one_body(self.rho[None], self.kappa[None])
+        values = _check_one_body(self.rho[None], self.kappa[None])[0].copy()
         self.rho.setflags(write=False)
         self.kappa.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "_values", values)
 
     @property
     def n_modes(self) -> int:
         return self.rho.shape[0]
+
+    def spectrum(self) -> np.ndarray:
+        return self._values
 
 
 @dataclass(frozen=True)
@@ -152,7 +160,8 @@ def _extended_stack(rho: np.ndarray, kappa: np.ndarray, first: int | None = None
 
 
 def one_body(state: FockState) -> OneBodyDensity:
-    """Both one-body blocks of a state; a stack of one through ``_one_body_stack``."""
+    """Both one-body blocks of a unit-norm state; a stack of one through ``_one_body_stack``."""
+    _require_unit_norm(state)
     rho, kappa = _one_body_stack(state.vector[None], state.n_modes)
     return OneBodyDensity(rho=rho[0], kappa=kappa[0])
 
@@ -228,8 +237,7 @@ def sp_entropy(state: FockState) -> float:
 
     Zero iff the state is a Slater determinant in some mode basis.
     """
-    values = hermitian_eigensystem(one_body(state).rho).values
-    return spectrum_entropy(values, binary_entropy)
+    return spectrum_entropy(one_body(state).spectrum(), binary_entropy)
 
 
 def qsp_entropy(state: FockState, fn: Callable[[float], float] = von_neumann_term) -> float:

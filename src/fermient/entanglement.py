@@ -34,7 +34,7 @@ from .errors import (
     WrongParityError,
     WrongShapeError,
 )
-from .fock import FockState
+from .fock import FockState, _require_unit_norm
 from .linalg import hermitian_eigenvalues
 
 __all__ = [
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _ENTROPY_MATCH_TOL = 1e-9
+#: Slack of the Lemma-2 bounds in MajorizationStack.holds; ``--tol lemma=`` overrides it.
+LEMMA_TOL = 1e-9
 #: Entropy functions reported by majorization_check.
 REGISTERED_ENTROPIES: dict[str, Callable[[float], float]] = {
     "von_neumann": von_neumann_term,
@@ -231,8 +233,9 @@ def _require_four_modes(state: FockState) -> None:
 
 
 def concurrence_even(state: FockState) -> float:
-    """Closed-form concurrence of an even four-mode state."""
+    """Closed-form concurrence of an even four-mode state of unit norm."""
     _require_four_modes(state)
+    _require_unit_norm(state)
     if state.parity != "even":
         raise WrongParityError("state is not even-parity")
     amp = state.amplitude
@@ -246,8 +249,9 @@ def concurrence_even(state: FockState) -> float:
 
 
 def concurrence_odd(state: FockState) -> float:
-    """Closed-form concurrence of an odd four-mode state."""
+    """Closed-form concurrence of an odd four-mode state of unit norm."""
     _require_four_modes(state)
+    _require_unit_norm(state)
     if state.parity != "odd":
         raise WrongParityError("state is not odd-parity")
     total = 0.0 + 0.0j
@@ -326,40 +330,55 @@ def local_parity_split(state: FockState, part: ModePartition) -> LocalParitySpli
 
 
 class MajorizationStack(NamedTuple):
-    """Lemma-2 quantities of S four-mode states on P partitions.
+    """Lemma-2 quantities of S four-mode states on P partitions, and the one verdict on them.
 
-    ``lambda_max[s, p]`` is the largest eigenvalue of rho_A of state s on
-    partition p and ``f_plus[s]`` the mean of the top four extended-matrix
-    eigenvalues. For each name in REGISTERED_ENTROPIES, ``values[name][s, p]``
-    is S(rho_A) (checked equal to S(rho_B)) and ``bounds[name][s]`` is a
-    quarter of the entropy of the extended spectrum.
+    ``spectra[p][s]`` is the spectrum of rho_A of state s on partition p,
+    descending, and ``lambda_max[s, p]`` its first entry; ``f_plus[s]`` is the
+    mean of the top four extended-matrix eigenvalues. For each name in
+    REGISTERED_ENTROPIES, ``values[name][s, p]`` is S(rho_A) (checked equal to
+    S(rho_B)) and ``bounds[name][s]`` is a quarter of the entropy of the
+    extended spectrum.
     """
 
     lambda_max: np.ndarray
     f_plus: np.ndarray
     values: dict[str, np.ndarray]
     bounds: dict[str, np.ndarray]
+    spectra: tuple[np.ndarray, ...]
 
+    @property
+    def lambda_excess(self) -> np.ndarray:
+        """(S, P) margins lambda_max - f_plus; the bound wants them <= 0."""
+        return self.lambda_max - self.f_plus[:, None]
 
-def _extended_bounds(vectors: np.ndarray, first: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """``f_plus`` and ``bounds`` of ``MajorizationStack`` for an (S, 16) stack.
+    @property
+    def entropy_margins(self) -> dict[str, np.ndarray]:
+        """(S, P) margins S(rho_A) - bound per entropy; the bounds want them >= 0."""
+        return {name: value - self.bounds[name][:, None] for name, value in self.values.items()}
 
-    Builds and checks the one-body and extended matrices of every state, then
-    diagonalizes the extended stack once; a failure names the sample index,
-    counted from ``first``.
-    """
-    rho, kappa = _one_body_stack(vectors, 4)
-    _check_one_body(rho, kappa, first)
-    extended = hermitian_eigenvalues(_extended_stack(rho, kappa, first))
-    bounds = {
-        name: _elementwise(fn, extended).sum(axis=1) / 4.0
-        for name, fn in REGISTERED_ENTROPIES.items()
-    }
-    return extended[:, :4].mean(axis=1), bounds
+    def holds(self, tol: float) -> dict[str, np.ndarray]:
+        """(S, P) verdicts, "lambda_max" then each entropy: margin misses by <= tol; NaN fails."""
+        verdicts = {"lambda_max": self.lambda_excess <= tol}
+        verdicts.update((name, m >= -tol) for name, m in self.entropy_margins.items())
+        return verdicts
+
+    def verdict(self, tol: float) -> dict:
+        """Report of a stack of one state on one partition: lambda_max, f_plus, holds, entropies."""
+        holds = self.holds(tol)
+        return {
+            "lambda_max": float(self.lambda_max[0, 0]),
+            "f_plus": float(self.f_plus[0]),
+            "holds": all(bool(h[0, 0]) for h in holds.values()),
+            "entropies": {
+                name: {"value": float(value[0, 0]), "bound": float(self.bounds[name][0]),
+                       "holds": bool(holds[name][0, 0])}
+                for name, value in self.values.items()
+            },
+        }
 
 
 def majorization_stack(
-    vectors: np.ndarray, parts: Sequence[ModePartition], first: int = 0
+    vectors: np.ndarray, parts: Sequence[ModePartition], first: int | None = 0
 ) -> MajorizationStack:
     """The quantities of Lemma 2 for a stack of four-mode states, in one pass.
 
@@ -368,7 +387,7 @@ def majorization_stack(
     Every check of ``one_body``, ``extended_density`` and ``reduced_state``
     runs on each matrix at the same tolerance, as does S(rho_A) = S(rho_B); a
     failure raises the same FermionError subclass and names the sample index,
-    counted from ``first``.
+    counted from ``first`` (``None`` names none).
     """
     vectors = np.asarray(vectors, dtype=np.complex128)
     if vectors.ndim != 2 or vectors.shape[1] != 16:
@@ -376,16 +395,15 @@ def majorization_stack(
             f"expected an (S, 16) stack of four-mode states, got shape {vectors.shape}"
         )
     # reduced-state checks come first, so an unnormalized state fails on its trace
-    spectra = []
-    for part in parts:
-        t = _coefficient_stack(vectors, part)
-        spec_a = _reduced_spectra(t @ t.conj().swapaxes(1, 2), first)
-        spectra.append((spec_a, _reduced_spectra(t.swapaxes(1, 2) @ t.conj(), first)))
-    f_plus, bounds = _extended_bounds(vectors, first)
     shape = (len(vectors), len(parts))
     lambda_max = np.empty(shape)
     values = {name: np.empty(shape) for name in REGISTERED_ENTROPIES}
-    for p, (spec_a, spec_b) in enumerate(spectra):
+    spectra = []
+    for p, part in enumerate(parts):
+        t = _coefficient_stack(vectors, part)
+        spec_a = _reduced_spectra(t @ t.conj().swapaxes(1, 2), first)
+        spec_b = _reduced_spectra(t.swapaxes(1, 2) @ t.conj(), first)
+        spectra.append(spec_a)
         lambda_max[:, p] = spec_a[:, 0]
         for name, fn in REGISTERED_ENTROPIES.items():
             s_a = _elementwise(fn, spec_a).sum(axis=1)
@@ -395,32 +413,28 @@ def majorization_stack(
                 SideMismatchError, "side entropies differ: {} vs {}", first, s_a, s_b,
             )
             values[name][:, p] = s_a
-    return MajorizationStack(lambda_max=lambda_max, f_plus=f_plus, values=values, bounds=bounds)
+    rho, kappa = _one_body_stack(vectors, 4)
+    _check_one_body(rho, kappa, first)
+    extended = hermitian_eigenvalues(_extended_stack(rho, kappa, first))
+    return MajorizationStack(
+        lambda_max=lambda_max,
+        f_plus=extended[:, :4].mean(axis=1),
+        values=values,
+        bounds={
+            name: _elementwise(fn, extended).sum(axis=1) / 4.0
+            for name, fn in REGISTERED_ENTROPIES.items()
+        },
+        spectra=tuple(spectra),
+    )
 
 
 def majorization_check(state: FockState, part: ModePartition) -> dict:
     """Verdict on lambda_max(rho_A) <= f_+ and the quarter-entropy bounds.
 
-    A stack of one through ``majorization_stack``.
+    A stack of one through ``majorization_stack``, judged at LEMMA_TOL.
     """
     _require_four_modes(state)
-    batch = majorization_stack(state.vector[None], [part])
-    lam = float(batch.lambda_max[0, 0])
-    f_plus = float(batch.f_plus[0])
-    all_hold = lam <= f_plus + 1e-9
-    entropies = {}
-    for name in REGISTERED_ENTROPIES:
-        value = float(batch.values[name][0, 0])
-        bound = float(batch.bounds[name][0])
-        holds = value >= bound - 1e-9
-        all_hold = all_hold and holds
-        entropies[name] = {"value": value, "bound": bound, "holds": holds}
-    return {
-        "lambda_max": lam,
-        "f_plus": f_plus,
-        "holds": all_hold,
-        "entropies": entropies,
-    }
+    return majorization_stack(state.vector[None], [part]).verdict(LEMMA_TOL)
 
 
 def schmidt_concurrence(beta1, beta2, bt1, bt2) -> float:

@@ -159,6 +159,12 @@ class FockState:
         return complex(np.vdot(self.vector, other.vector))
 
 
+def _require_unit_norm(state: FockState) -> None:
+    """Raise NotNormalizedError unless the state's norm is 1 within TOL_NORM."""
+    if not abs(state.norm() - 1.0) <= TOL_NORM:
+        raise NotNormalizedError(f"state norm {state.norm()!r} is not 1 within {TOL_NORM}")
+
+
 def make_state(
     n_modes: int,
     amplitudes: dict[int, complex] | Sequence[complex] | np.ndarray,

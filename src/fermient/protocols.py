@@ -508,6 +508,7 @@ _SDC_OPERATIONS = {
     "11": ((0.0, -_HALF, 0.0), -1.0),
 }
 
+#: Alice's operations, built on first use: one per first two bits, and "parity" for the third
 _SDC_UNITARIES: dict[str, FockOperator] = {}
 _SDC_CODES: dict[str, tuple[tuple[str, np.ndarray], ...]] = {}
 
@@ -528,11 +529,14 @@ def _sdc_seed(variant: str) -> FockState:
     return FockState(_SDC_MODES, (bell + tilde) / 2.0, "even")
 
 
-def _sdc_unitary(bits: str) -> FockOperator:
-    if bits not in _SDC_UNITARIES:
-        weights, phase = _SDC_OPERATIONS[bits]
-        _SDC_UNITARIES[bits] = _dictionary_exp(_ALICE_PAIR, _KINDS, _SDC_MODES, weights, phase)
-    return _SDC_UNITARIES[bits]
+def _sdc_unitary(key: str) -> FockOperator:
+    if key not in _SDC_UNITARIES:
+        if key == "parity":
+            _SDC_UNITARIES[key] = parity_gate(_ALICE_PAIR, _SDC_MODES)
+        else:
+            weights, phase = _SDC_OPERATIONS[key]
+            _SDC_UNITARIES[key] = _dictionary_exp(_ALICE_PAIR, _KINDS, _SDC_MODES, weights, phase)
+    return _SDC_UNITARIES[key]
 
 
 def superdense_encode(message: str, variant: str = "psi00") -> FockState:
@@ -541,7 +545,7 @@ def superdense_encode(message: str, variant: str = "psi00") -> FockState:
     The first two bits select nothing or one of the cached dual-kind
     operations i exp(-i pi/2 (sigma_mu + sigma~_mu)) (mu = x, z) and
     -exp(-i pi/2 (sigma_y + sigma~_y)) on Alice's pair; the third applies her
-    local parity gate afterwards. Each acts through ``FockOperator.apply``.
+    cached local parity gate afterwards. Each acts through ``FockOperator.apply``.
     """
     if len(message) != 3 or any(ch not in "01" for ch in message):
         raise ArgumentError(f"message must be three bits, got {message!r}")
@@ -549,7 +553,7 @@ def superdense_encode(message: str, variant: str = "psi00") -> FockState:
     if message[:2] != "00":
         state = _sdc_unitary(message[:2]).apply(state)
     if message[2] == "1":
-        state = parity_gate(_ALICE_PAIR, _SDC_MODES).apply(state)
+        state = _sdc_unitary("parity").apply(state)
     return state
 
 

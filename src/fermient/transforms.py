@@ -48,6 +48,7 @@ from .fock import (
     _defect,
     _dim,
     _mode_tables,
+    _require_unit_norm,
     make_state,
 )
 from .linalg import Spectrum, hermitian_eigensystem
@@ -144,15 +145,14 @@ def random_bogoliubov(
     n_modes: int,
     seed: int | None = None,
     rng: np.random.Generator | None = None,
-    strength: float = 1.0,
 ) -> BogoliubovMap:
     """Random valid map, as the exponential of a random structured generator."""
     if rng is None:
         rng = np.random.default_rng(seed)
     x = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
     y = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
-    p = strength * (x - x.conj().T) / 2.0
-    q = strength * (y - y.T) / 2.0
+    p = (x - x.conj().T) / 2.0
+    q = (y - y.T) / 2.0
     k = np.zeros((2 * n_modes, 2 * n_modes), dtype=np.complex128)
     k[:n_modes, :n_modes] = p
     k[:n_modes, n_modes:] = q
@@ -503,7 +503,9 @@ def two_fermion_schmidt(state: FockState) -> TwoFermionForm:
     The unitary is number-conserving (V = 0); the transformed amplitude matrix
     is block diagonal with 2x2 antisymmetric blocks carrying the coefficients
     s_k >= 0, whose squares are the (pairwise degenerate) one-body eigenvalues.
+    The state must have unit norm.
     """
+    _require_unit_norm(state)
     alpha = _amplitude_matrix(state)
     n = state.n_modes
     remaining = np.eye(n, dtype=np.complex128)

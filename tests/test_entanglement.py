@@ -6,6 +6,7 @@ import pytest
 from fermient import basis_state, make_state, random_state, vacuum_state
 from fermient.correlations import (
     concurrence_from_spectrum,
+    extended_density,
     matrix_entropy,
     one_body,
     qsp_entropy,
@@ -31,7 +32,15 @@ from fermient.errors import (
     WrongParityError,
     WrongShapeError,
 )
-from fermient.transforms import lift_to_fock, particle_hole, random_bogoliubov, validate_bogoliubov
+from fermient.fock import FockState
+from fermient.transforms import (
+    lift_to_fock,
+    normal_form,
+    particle_hole,
+    random_bogoliubov,
+    two_fermion_schmidt,
+    validate_bogoliubov,
+)
 
 from conftest import oracle_reduced
 
@@ -297,3 +306,35 @@ def test_schmidt_concurrence_examples(rng):
     assert schmidt_concurrence(b1, b2, bt1, bt2) == pytest.approx(
         concurrence_even(assembled), abs=1e-12
     )
+
+
+_UNIT_NORM_FUNCTIONS = {
+    "one_body": one_body,
+    "extended_density": extended_density,
+    "sp_entropy": sp_entropy,
+    "qsp_entropy": qsp_entropy,
+    "concurrence": concurrence,
+    "normal_form": normal_form,
+    "two_fermion_schmidt": two_fermion_schmidt,
+}
+
+
+@pytest.mark.parametrize("name, parity", [
+    (name, parity)
+    for name in _UNIT_NORM_FUNCTIONS
+    for parity in ("even", "odd")
+    if parity == "even" or name != "two_fermion_schmidt"
+])
+@pytest.mark.parametrize("scale", [0.5, 0.0])
+def test_unnormalized_states_are_rejected(name, parity, scale):
+    # FockState accepts any norm (apply_annihilation may return zero); these must not
+    if name == "two_fermion_schmidt":
+        unit = make_state(4, {0b0011: 0.8, 0b1100: 0.6})
+    else:
+        unit = random_state(4, parity=parity, seed=8)
+    fn = _UNIT_NORM_FUNCTIONS[name]
+    fn(unit)
+    scaled = FockState(4, scale * unit.vector, parity)
+    with pytest.raises(NotNormalizedError, match=r"^state norm (\S+) is not 1") as info:
+        fn(scaled)
+    assert float(info.value.args[0].split()[2]) == pytest.approx(scale, abs=1e-12)

@@ -1,6 +1,7 @@
 """Property tests for the eigensolver, the fermionic partial trace, the Lemma-2
 batch, the Bogoliubov lift, the normal form, the entropy kernels and the gates."""
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -29,14 +30,16 @@ from fermient import (
     transformed_amplitudes,
     validate_bogoliubov,
 )
-from fermient.correlations import binary_entropy, quadratic_term, von_neumann_term
+from fermient.correlations import binary_entropy, quadratic_term, sp_entropy, von_neumann_term
 from fermient.entanglement import (
+    LEMMA_TOL,
     bipartite_entropy,
     majorization_check,
     majorization_stack,
     reduced_state,
 )
 from fermient.fock import TOL_NORM, TOL_ZERO, FockOperator, number_matrix
+from fermient.io import load_state
 from fermient.linalg import hermitian_eigensystem
 from fermient.protocols import (
     QubitEncoding,
@@ -190,6 +193,48 @@ def test_bipartition_builds_each_reduced_state_once(monkeypatch, capsys):
     capsys.readouterr()
     # rho_A and rho_B for the spectrum and every entropy, then the extended matrix
     assert eigensolves == [(1, 4, 4)] * 2 + [(1, 8, 8)]
+
+
+def test_one_body_spectrum_is_computed_once(monkeypatch, capsys):
+    state = random_state(4, seed=6)
+    eigensolves = _count_eigensolves(monkeypatch)
+    sp_entropy(state)
+    assert cli.main(["rho-sp", str(_GOLDEN / "even4.json")]) == 0
+    capsys.readouterr()
+    # both read the occupations the one-body check already diagonalized
+    assert eigensolves == []
+
+
+@pytest.mark.parametrize("side", cli._LEMMA_PARTITIONS, ids=lambda side: ",".join(map(str, side)))
+def test_bipartition_reports_the_stack_values(side, capsys):
+    part = ModePartition(4, side)
+    for path in (_GOLDEN / "even4.json", _GOLDEN / "odd4.json"):
+        batch = majorization_stack(load_state(path).vector[None], [part])
+        assert cli.main(["bipartition", str(path), "--a", ",".join(map(str, side))]) == 0
+        report = json.loads(capsys.readouterr().out)
+        verdict = batch.verdict(LEMMA_TOL)
+        assert report["spectrum"] == list(batch.spectra[0][0])
+        assert report["S_A"] == batch.values["von_neumann"][0, 0]
+        for key in ("lambda_max", "f_plus", "entropies", "holds"):
+            assert report[key] == verdict[key]
+
+
+def test_check_lemma2_counts_one_violation_per_failed_bound(monkeypatch, capsys):
+    stack = cli.majorization_stack
+
+    def shifted(vectors, parts, first):
+        batch = stack(vectors, parts, first)
+        batch.lambda_max[0, 1] += 1.0
+        batch.values["von_neumann"][1, 2] -= 10.0
+        batch.values["quadratic"][1, 2] -= 10.0
+        return batch
+
+    monkeypatch.setattr(cli, "majorization_stack", shifted)
+    assert cli.main(["check-lemma2", "--samples", "4", "--seed", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == 3
+    assert report["max_lambda_excess"] > 0.5
+    assert report["min_entropy_margin"] < -5.0
 
 
 def test_lift_makes_no_eigensolve_and_no_dense_mode_matrix(monkeypatch):

@@ -595,16 +595,31 @@ def test_split_fermion_resource_cannot_teleport():
         assert abs(fidelity - 0.5) < 1e-12
 
 
+def test_superdense_encode_builds_its_gates_once(monkeypatch):
+    superdense_encode("111")
+    built = []
+    seal = FockOperator._seal
+
+    def counted(self, matrix, defect):
+        built.append(self.kind)
+        return seal(self, matrix, defect)
+
+    monkeypatch.setattr(FockOperator, "_seal", counted)
+    for _ in range(3):
+        superdense_encode("111")
+    assert built == []
+
+
 def test_cached_gate_arrays_are_read_only():
     cached = []
     for kind in ("odd", "even"):
         run_teleportation((0.6, 0.8), kind)
         assert len(protocols._TELEPORT_GATES[kind]) == 4
         cached += protocols._TELEPORT_GATES[kind]
-    for message in ("000", "010", "100", "110"):
+    for message in protocols._SDC_MESSAGES:
         superdense_encode(message)
-    # "00" applies nothing, so it caches nothing
-    assert set(protocols._SDC_UNITARIES) == {"01", "10", "11"}
+    # "00" applies nothing, so it caches nothing; the third bit's parity gate is cached too
+    assert set(protocols._SDC_UNITARIES) == {"01", "10", "11", "parity"}
     cached += protocols._SDC_UNITARIES.values()
     for gate in cached:
         assert isinstance(gate, FockOperator)
