@@ -34,7 +34,7 @@ from .errors import (
     WrongParityError,
     WrongShapeError,
 )
-from .fock import FockState, _require_unit_norm
+from .fock import TOL_NORM, FockState, _require_unit_norm
 from .linalg import hermitian_eigenvalues
 
 __all__ = [
@@ -232,40 +232,38 @@ def _require_four_modes(state: FockState) -> None:
         raise DimensionMismatchError("concurrence formulas are defined for 4 modes")
 
 
-def concurrence_even(state: FockState) -> float:
-    """Closed-form concurrence of an even four-mode state of unit norm."""
-    _require_four_modes(state)
-    _require_unit_norm(state)
-    if state.parity != "even":
-        raise WrongParityError("state is not even-parity")
-    amp = state.amplitude
-    quartic = (
-        amp(0b0011) * amp(0b1100)
-        - amp(0b0101) * amp(0b1010)
-        + amp(0b1001) * amp(0b0110)
-        - amp(0b0000) * amp(0b1111)
-    )
-    return min(2.0 * abs(quartic), 1.0)
+#: Sign s(m) = -(-1)^(bit_0(m) + bit_2(m)) of the pair (m, m ^ 15) in the invariant bilinear
+#: B, Schliemann's 2 (psi_3 psi_12 - psi_5 psi_10 + psi_9 psi_6 - psi_0 psi_15) for even states.
+_COMPLEMENT_SIGN = -((-1.0) ** np.bitwise_count(np.arange(16) & 0b0101))
+_COMPLEMENT_SIGN.setflags(write=False)
 
 
-def concurrence_odd(state: FockState) -> float:
-    """Closed-form concurrence of an odd four-mode state of unit norm."""
-    _require_four_modes(state)
-    _require_unit_norm(state)
-    if state.parity != "odd":
-        raise WrongParityError("state is not odd-parity")
-    total = 0.0 + 0.0j
-    for i in range(4):
-        beta = state.amplitude(1 << i)
-        beta_tilde = (-1) ** i * state.amplitude(0b1111 ^ (1 << i))
-        total += beta * beta_tilde
-    return min(2.0 * abs(total), 1.0)
+def _bilinear(vectors: np.ndarray) -> np.ndarray:
+    """B = sum_m s(m) psi_m psi_{m ^ 15} of (..., 16) amplitudes; partner m ^ 15 is 15 - m."""
+    return np.sum(_COMPLEMENT_SIGN * vectors * vectors[..., ::-1], axis=-1)
 
 
 def concurrence(state: FockState) -> float:
-    if state.parity == "even":
-        return concurrence_even(state)
-    return concurrence_odd(state)
+    """Concurrence C = min(|B|, 1) of a four-mode state of unit norm, either parity."""
+    _require_four_modes(state)
+    _require_unit_norm(state)
+    return min(abs(complex(_bilinear(state.vector))), 1.0)
+
+
+def concurrence_even(state: FockState) -> float:
+    """``concurrence`` of an even four-mode state; an odd one raises WrongParityError."""
+    value = concurrence(state)  # the four-mode and unit-norm checks come first
+    if state.parity != "even":
+        raise WrongParityError("state is not even-parity")
+    return value
+
+
+def concurrence_odd(state: FockState) -> float:
+    """``concurrence`` of an odd four-mode state; an even one raises WrongParityError."""
+    value = concurrence(state)  # the four-mode and unit-norm checks come first
+    if state.parity != "odd":
+        raise WrongParityError("state is not odd-parity")
+    return value
 
 
 @dataclass(frozen=True)
@@ -294,12 +292,13 @@ class LocalParitySplit:
 
 
 def local_parity_split(state: FockState, part: ModePartition) -> LocalParitySplit:
-    """Odd/even local-parity components of an even state on a 2+2 partition.
+    """Odd/even local-parity components of an even state of unit norm on a 2+2 partition.
 
-    The returned concurrences obey the sandwich
-    |p_- c_- − p_+ c_+| <= C <= p_- c_- + p_+ c_+ exactly, which is asserted.
+    The returned concurrences obey the sandwich |p_- c_- − p_+ c_+| <= C <=
+    p_- c_- + p_+ c_+, checked within 1e-9 with C from the invariant bilinear,
+    a second route that a wrong sign dressing of the blocks can fail.
     """
-    _require_four_modes(state)
+    total = concurrence(state)  # the four-mode and unit-norm checks come first
     if state.parity != "even":
         raise WrongParityError("local parity split expects an even state")
     if len(part.side_a) != 2 or len(part.side_b) != 2:
@@ -321,10 +320,9 @@ def local_parity_split(state: FockState, part: ModePartition) -> LocalParitySpli
         beta=beta,
         beta_tilde=beta_tilde,
     )
-    total = split.concurrence()
     low = abs(p_minus * c_minus - p_plus * c_plus)
     high = p_minus * c_minus + p_plus * c_plus
-    if total < low - 1e-9 or total > high + 1e-9:
+    if not low - 1e-9 <= total <= high + 1e-9:
         raise FermionError("concurrence sandwich violated; split is inconsistent")
     return split
 
@@ -440,7 +438,7 @@ def majorization_check(state: FockState, part: ModePartition) -> dict:
 def schmidt_concurrence(beta1, beta2, bt1, bt2) -> float:
     """Concurrence of a state given in local-parity Schmidt coefficients."""
     norm = abs(beta1) ** 2 + abs(beta2) ** 2 + abs(bt1) ** 2 + abs(bt2) ** 2
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= TOL_NORM:  # also rejects NaN
         raise NotNormalizedError(f"coefficient norm {norm!r} differs from 1")
     return min(2.0 * abs(beta1 * beta2 + bt1 * bt2), 1.0)
 

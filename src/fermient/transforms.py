@@ -28,12 +28,14 @@ phi'[m] = phi[m] exp(i sum_k theta_k bit_k(m)).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .correlations import extended_density
+from .entanglement import _COMPLEMENT_SIGN
 from .errors import (
     DimensionMismatchError,
     LiftFailureError,
@@ -303,11 +305,8 @@ PAIRINGS = {
 }
 
 _EVEN_MASKS = (0, 3, 5, 6, 9, 10, 12, 15)
-#: Complement pairs of even masks and the sign each contributes to the
-#: invariant bilinear z^T Q z over even-sector amplitudes z, whose modulus is
-#: the concurrence. The magic basis M has M^T Q M = 1, so the bilinear is c^T c
-#: in magic coordinates c = M^H z.
-_MAGIC_PAIRS = (((3, 12), 1.0), ((5, 10), -1.0), ((9, 6), 1.0), ((0, 15), -1.0))
+#: Complement pairs of even masks, signed as in B = z^T Q z; the magic basis has M^T Q M = 1.
+_MAGIC_PAIRS = tuple(((a, 15 ^ a), float(_COMPLEMENT_SIGN[a])) for a in (3, 5, 9, 0))
 
 
 @dataclass(frozen=True)
@@ -356,12 +355,14 @@ def _assemble_pairing_map(spec: Spectrum) -> BogoliubovMap:
     return validate_bogoliubov(cols[:4], np.conj(cols[4:]))
 
 
+@functools.cache
 def _magic_matrix() -> np.ndarray:
     m = np.zeros((8, 8), dtype=np.complex128)
     block = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2)
     for k, ((a, b), sign) in enumerate(_MAGIC_PAIRS):
         rows = [_EVEN_MASKS.index(a), _EVEN_MASKS.index(b)]
         m[np.ix_(rows, [2 * k, 2 * k + 1])] = np.exp(-1j * sign * np.pi / 4) * block
+    m.setflags(write=False)
     return m
 
 

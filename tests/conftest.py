@@ -154,6 +154,28 @@ def oracle_entropies(spectrum):
     return von_neumann, quadratic
 
 
+def oracle_bilinear_even(vector):
+    """Invariant bilinear of an even four-mode state: twice the quartic over named masks."""
+    amp = vector
+    quartic = (
+        amp[0b0011] * amp[0b1100]
+        - amp[0b0101] * amp[0b1010]
+        + amp[0b1001] * amp[0b0110]
+        - amp[0b0000] * amp[0b1111]
+    )
+    return 2.0 * quartic
+
+
+def oracle_bilinear_odd(vector):
+    """Invariant bilinear of an odd four-mode state: twice sum_i beta_i beta~_i over complements."""
+    total = 0.0 + 0.0j
+    for i in range(4):
+        beta = vector[1 << i]
+        beta_tilde = (-1) ** i * vector[0b1111 ^ (1 << i)]
+        total += beta * beta_tilde
+    return 2.0 * total
+
+
 def paired_image(f_plus, parity, rng):
     """Bogoliubov image of sqrt(f)|0011> + sqrt(1 - f)|1100>; odd by a particle-hole flip."""
     bmap = random_bogoliubov(4, rng=rng)

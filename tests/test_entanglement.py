@@ -27,6 +27,7 @@ from fermient.entanglement import (
     schmidt_concurrence,
 )
 from fermient.errors import (
+    DimensionMismatchError,
     NotNormalizedError,
     SideMismatchError,
     WrongParityError,
@@ -158,6 +159,23 @@ def test_concurrence_odd_examples(rng):
         concurrence_odd(vacuum_state(4))
 
 
+@pytest.mark.parametrize("fn, wrong", [
+    (concurrence_even, "odd"), (concurrence_odd, "even"), (concurrence, None)
+])
+def test_concurrence_checks_modes_then_norm_then_parity(fn, wrong):
+    parity = wrong or "even"
+    half = FockState(4, 0.5 * random_state(4, parity=parity, seed=2).vector, parity)
+    wide = FockState(6, 0.5 * random_state(6, parity=parity, seed=2).vector, parity)
+    with pytest.raises(DimensionMismatchError, match="^concurrence formulas are defined for 4"):
+        fn(wide)
+    with pytest.raises(NotNormalizedError, match=r"^state norm 0\.5"):
+        fn(half)
+    if wrong is not None:
+        other = "even" if wrong == "odd" else "odd"
+        with pytest.raises(WrongParityError, match=f"^state is not {other}-parity$"):
+            fn(random_state(4, parity=wrong, seed=2))
+
+
 def test_concurrence_invariant_under_global_maps(rng):
     psi = random_state(4, parity="even", rng=rng)
     c0 = concurrence(psi)
@@ -201,6 +219,17 @@ def test_local_parity_split_guards():
         local_parity_split(psi, ModePartition(4, (0,)))
     with pytest.raises(WrongParityError):
         local_parity_split(basis_state(4, 0b0001), ModePartition(4, (0, 1)))
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.0])
+def test_local_parity_split_rejects_unnormalized_states(scale):
+    unit = make_state(4, PSI_00)
+    scaled = FockState(4, scale * unit.vector, "even")
+    # the norm is named before the parity or the partition shape is looked at
+    for side in ((0, 1), (0,)):
+        with pytest.raises(NotNormalizedError, match=r"^state norm (\S+) is not 1") as info:
+            local_parity_split(scaled, ModePartition(4, side))
+        assert float(info.value.args[0].split()[2]) == pytest.approx(scale, abs=1e-12)
 
 
 def test_entropy_decomposition_over_local_parity(rng):
@@ -306,6 +335,12 @@ def test_schmidt_concurrence_examples(rng):
     assert schmidt_concurrence(b1, b2, bt1, bt2) == pytest.approx(
         concurrence_even(assembled), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+def test_schmidt_concurrence_rejects_non_finite_coefficients(bad):
+    with pytest.raises(NotNormalizedError, match="^coefficient norm"):
+        schmidt_concurrence(bad, 0.0, 0.0, 0.0)
 
 
 _UNIT_NORM_FUNCTIONS = {

@@ -34,6 +34,7 @@ CASES = {
     "rho-qsp": ["rho-qsp", "{golden}/odd4.json"],
     "entropy": ["entropy", "{golden}/even4.json"],
     "concurrence": ["concurrence", "{golden}/odd4.json"],
+    "concurrence-even": ["concurrence", "{golden}/even4.json"],
     "normal-form-even": ["normal-form", "{golden}/even4.json"],
     "normal-form-odd": ["normal-form", "{golden}/odd4.json"],
     "bipartition-2+2": ["bipartition", "{golden}/even4.json", "--a", "0,2"],

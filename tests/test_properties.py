@@ -1,5 +1,6 @@
 """Property tests for the eigensolver, the fermionic partial trace, the Lemma-2
-batch, the Bogoliubov lift, the normal form, the entropy kernels and the gates."""
+batch, the concurrence bilinear, the Bogoliubov lift, the normal form, the entropy
+kernels and the gates."""
 
 import json
 import math
@@ -20,9 +21,12 @@ from fermient import (
     cli,
     compose,
     concurrence,
+    entanglement,
     identity_map,
     lift_to_fock,
+    local_parity_split,
     make_state,
+    particle_hole,
     particle_hole_map,
     random_bogoliubov,
     random_state,
@@ -54,6 +58,8 @@ from fermient.transforms import normal_form
 
 from conftest import (
     oracle_annihilation_matrix,
+    oracle_bilinear_even,
+    oracle_bilinear_odd,
     oracle_cnot,
     oracle_entropies,
     oracle_exp,
@@ -361,9 +367,12 @@ def test_majorization_stack_matches_loop_oracle(stack, sides):
     parts = [ModePartition(4, side) for side in sides]
     batch = majorization_stack(np.array([state.vector for _, state in stack]), parts)
     for s, (kind, state) in enumerate(stack):
+        c = concurrence(state)
         if kind in ("product", "maximal"):
-            assert abs(concurrence(state) - (kind == "maximal")) <= 1e-9
+            assert abs(c - (kind == "maximal")) <= 1e-9
         extended = oracle_extended_spectrum(state.vector, 4)
+        # the fourfold spectrum f_+- of the paper, in polynomial form: f_+ f_- = C^2 / 4
+        assert np.max(np.abs(extended * (1.0 - extended) - c**2 / 4.0)) <= 1e-12
         assert abs(batch.f_plus[s] - np.mean(extended[:4])) <= 1e-12
         bounds = [value / 4.0 for value in oracle_entropies(extended)]
         for p, part in enumerate(parts):
@@ -381,6 +390,34 @@ def test_majorization_stack_matches_loop_oracle(stack, sides):
             for name, entry in verdict["entropies"].items():
                 assert entry["value"] == batch.values[name][s, p]
                 assert entry["bound"] == batch.bounds[name][s]
+
+
+@given(lemma_stacks())
+def test_bilinear_matches_the_closed_form_oracles(stack):
+    vectors = np.array([state.vector for _, state in stack])
+    stacked = entanglement._bilinear(vectors)
+    for s, (_, state) in enumerate(stack):
+        oracle = oracle_bilinear_even if state.parity == "even" else oracle_bilinear_odd
+        assert abs(stacked[s] - oracle(state.vector)) <= 1e-15
+        assert entanglement._bilinear(state.vector) == stacked[s]
+        assert concurrence(state) == min(abs(complex(stacked[s])), 1.0)
+        # the same bilinear is c^T c in the magic basis of the normal form
+        even = state if state.parity == "even" else particle_hole(state, {0})
+        c = transforms._magic_matrix().conj().T @ even.vector[list(transforms._EVEN_MASKS)]
+        assert abs(c @ c - entanglement._bilinear(even.vector)) <= 1e-14
+        assert abs(concurrence(even) - concurrence(state)) <= 1e-14
+
+
+def test_local_parity_split_checks_its_sandwich_against_the_bilinear(monkeypatch):
+    part = ModePartition(4, (0, 1))
+    # (state, bilinear outside its sandwich): C = 0.96 from one block, then C = 0 from neither
+    cases = ((make_state(4, {0b0000: 0.8, 0b1111: 0.6}), 0.0), (basis_state(4, 0b0011), 0.5))
+    for state, wrong in cases:
+        local_parity_split(state, part)
+        with monkeypatch.context() as patch:
+            patch.setattr(entanglement, "_bilinear", lambda v, b=wrong: np.full(v.shape[:-1], b))
+            with pytest.raises(FermionError, match="^concurrence sandwich violated"):
+                local_parity_split(state, part)
 
 
 def test_majorization_stack_names_the_failing_sample():

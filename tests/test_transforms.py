@@ -186,6 +186,23 @@ def test_magic_bilinear_frame(rng):
     assert abs(c @ c) == pytest.approx(concurrence(psi), abs=1e-12)
 
 
+def test_magic_matrix_is_built_once_as_before():
+    from fermient.transforms import _EVEN_MASKS, _magic_matrix
+
+    # the construction with literal signs, before they were read from the bilinear's table
+    want = np.zeros((8, 8), dtype=np.complex128)
+    block = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2)
+    for k, ((a, b), sign) in enumerate(
+        (((3, 12), 1.0), ((5, 10), -1.0), ((9, 6), 1.0), ((0, 15), -1.0))
+    ):
+        rows = [_EVEN_MASKS.index(a), _EVEN_MASKS.index(b)]
+        want[np.ix_(rows, [2 * k, 2 * k + 1])] = np.exp(-1j * sign * np.pi / 4) * block
+    m = _magic_matrix()
+    assert m.tobytes() == want.tobytes()  # bit for bit, so the normal-form gauge stays put
+    assert _magic_matrix() is m
+    assert not m.flags.writeable
+
+
 def test_normal_form_of_paired_state_keeps_amplitudes():
     psi = make_state(4, {0b0101: 0.8, 0b1010: 0.6})
     nf = normal_form(psi)
