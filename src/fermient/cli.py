@@ -20,11 +20,11 @@ from .correlations import extended_density, one_body, qsp_entropy, sp_entropy, v
 from .entanglement import (
     LEMMA_TOL,
     ModePartition,
-    _matched_entropy,
+    _matched_entropies,
+    _side_spectra,
     bipartite_entropy,
     concurrence,
     majorization_stack,
-    reduced_state,
 )
 from .errors import FermionError
 from .fock import TOL_NORM, TOL_ZERO, FockState, random_state
@@ -256,10 +256,9 @@ def _cmd_bipartition(args) -> tuple[int, dict]:
     part = ModePartition(state.n_modes, args.a)
     payload = {"n_modes": state.n_modes, "side_a": list(part.side_a), "side_b": list(part.side_b)}
     if state.n_modes != 4 or len(part.side_a) not in (1, 2):
-        rho_a = reduced_state(state, part, side="a")
-        rho_b = reduced_state(state, part, side="b")
-        payload["spectrum"] = _floats(rho_a.spectrum())
-        payload["S_A"] = float(_matched_entropy(rho_a, rho_b, von_neumann_term))
+        spec_a, spec_b = _side_spectra(state.vector[None], part)
+        payload["spectrum"] = _floats(spec_a[0])
+        payload["S_A"] = float(_matched_entropies(spec_a, spec_b, von_neumann_term)[0])
         return 0, _report("bipartition", payload, {"lemma": tol})
     # a stack of one, whose errors name no sample
     batch = majorization_stack(state.vector[None], [part], first=None)

@@ -139,24 +139,16 @@ def _one_body_stack(vectors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     return rho, kappa
 
 
-def _extended_stack(rho: np.ndarray, kappa: np.ndarray, first: int | None = None) -> np.ndarray:
-    """(S, 2n, 2n) extended matrices [[rho, kappa], [-conj(kappa), 1 - conj(rho)]].
-
-    Raises HermiticityDefectError if an assembled matrix deviates from
-    Hermiticity by more than 1e-10 (a bug upstream, not a user error).
-    """
+def _extended_stack(rho: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """(S, 2n, 2n) extended matrices [[rho, kappa], [-conj(kappa), 1 - conj(rho)]]."""
     s, n = rho.shape[0], rho.shape[1]
     m = np.zeros((s, 2 * n, 2 * n), dtype=np.complex128)
     m[:, :n, :n] = rho
     m[:, :n, n:] = kappa
     m[:, n:, :n] = -kappa.conj()
     m[:, n:, n:] = np.eye(n) - rho.conj()
-    mh = m.conj().swapaxes(1, 2)
-    defect = np.max(np.abs(m - mh), axis=(1, 2))
-    _raise_first(
-        defect > 1e-10, HermiticityDefectError, "extended matrix defect {:.3e}", first, defect
-    )
-    return (m + mh) / 2.0
+    # exactly Hermitian already; symmetrizing turns -0.0 entries into the 0.0 that reports print
+    return (m + m.conj().swapaxes(1, 2)) / 2.0
 
 
 def one_body(state: FockState) -> OneBodyDensity:
@@ -167,11 +159,7 @@ def one_body(state: FockState) -> OneBodyDensity:
 
 
 def extended_density(state: FockState) -> ExtendedDensity:
-    """Assemble the extended matrix from the one-body blocks.
-
-    Raises HermiticityDefectError if the assembled block matrix deviates from
-    Hermiticity by more than 1e-10 (a bug upstream, not a user error).
-    """
+    """Assemble the extended matrix from the one-body blocks."""
     ob = one_body(state)
     return ExtendedDensity(m=_extended_stack(ob.rho[None], ob.kappa[None])[0])
 

@@ -34,7 +34,7 @@ from .errors import (
     WrongParityError,
     WrongShapeError,
 )
-from .fock import TOL_NORM, FockState, _require_unit_norm
+from .fock import TOL_NORM, FockState, _is_unit_weight, _mode_index, _require_unit_norm
 from .linalg import hermitian_eigenvalues
 
 __all__ = [
@@ -77,11 +77,11 @@ class ModePartition:
         side_a: Iterable[int],
         side_b: Iterable[int] | None = None,
     ) -> None:
-        a = tuple(int(m) for m in side_a)
+        a = tuple(_mode_index(m) for m in side_a)
         if side_b is None:
             b = tuple(m for m in range(n_modes) if m not in a)
         else:
-            b = tuple(int(m) for m in side_b)
+            b = tuple(_mode_index(m) for m in side_b)
         if not a or not b:
             raise SideMismatchError("both sides must be non-empty")
         if len(set(a)) != len(a) or len(set(b)) != len(b) or set(a) & set(b):
@@ -96,20 +96,16 @@ class ModePartition:
 def _reduced_spectra(matrices: np.ndarray, first: int | None = None) -> np.ndarray:
     """Eigenvalues, descending, of a stack (S, k, k) of reduced matrices.
 
-    Each matrix must be Hermitian with unit trace and no negative eigenvalue,
-    all within 1e-10; a failure raises FermionError (naming the sample
-    ``first + s`` when ``first`` is given).
+    ``linalg`` judges Hermiticity first (NotHermitianError). Each matrix must
+    then have a trace whose square root is 1 within TOL_NORM, the unit-norm
+    rule, and no eigenvalue below -1e-10; a failure raises FermionError
+    (naming the sample ``first + s`` when ``first`` is given).
     """
-    m = matrices
+    values = hermitian_eigenvalues(matrices)
     _raise_first(
-        np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2)) > 1e-10,
-        FermionError, "reduced matrix is not Hermitian", first,
-    )
-    _raise_first(
-        np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0) > 1e-10,
+        ~_is_unit_weight(np.trace(matrices, axis1=1, axis2=2).real),
         FermionError, "reduced matrix trace differs from 1", first,
     )
-    values = hermitian_eigenvalues(m)
     _raise_first(
         values[:, -1] < -1e-10, FermionError, "reduced matrix has a negative eigenvalue", first
     )
@@ -203,28 +199,36 @@ def reduced_state(state: FockState, part: ModePartition, side: str = "a") -> Red
     return ReducedDensity(modes=modes, side=label, matrix=matrix)
 
 
+def _side_spectra(
+    vectors: np.ndarray, part: ModePartition, first: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checked rho_A and rho_B spectra, descending, of an (S, 2^n) stack of pure states."""
+    t = _coefficient_stack(vectors, part)
+    spec_a = _reduced_spectra(t @ t.conj().swapaxes(1, 2), first)
+    return spec_a, _reduced_spectra(t.swapaxes(1, 2) @ t.conj(), first)
+
+
+def _matched_entropies(
+    spec_a: np.ndarray, spec_b: np.ndarray, fn: Callable[[float], float], first: int | None = None
+) -> np.ndarray:
+    """S(rho_A) of each state, after checking that it equals S(rho_B) as a pure state requires."""
+    s_a = _elementwise(fn, spec_a).sum(axis=1)
+    s_b = _elementwise(fn, spec_b).sum(axis=1)
+    _raise_first(
+        np.abs(s_a - s_b) > _ENTROPY_MATCH_TOL,
+        SideMismatchError, "side entropies differ: {} vs {}", first, s_a, s_b,
+    )
+    return s_a
+
+
 def bipartite_entropy(
     state: FockState,
     part: ModePartition,
     entropy_fn: Callable[[float], float] = von_neumann_term,
 ) -> float:
     """Entanglement entropy of the partition; checks S(rho_A) = S(rho_B)."""
-    rho_a = reduced_state(state, part, "a")
-    rho_b = reduced_state(state, part, "b")
-    return _matched_entropy(rho_a, rho_b, entropy_fn)
-
-
-def _matched_entropy(
-    rho_a: ReducedDensity, rho_b: ReducedDensity, fn: Callable[[float], float]
-) -> float:
-    """S(rho_A), after checking that it equals S(rho_B) as a pure state requires."""
-    s_a = rho_a.entropy(fn)
-    s_b = rho_b.entropy(fn)
-    if abs(s_a - s_b) > _ENTROPY_MATCH_TOL:
-        raise SideMismatchError(
-            f"side entropies differ: {s_a!r} vs {s_b!r}"
-        )
-    return s_a
+    spec_a, spec_b = _side_spectra(state.vector[None], part)
+    return float(_matched_entropies(spec_a, spec_b, entropy_fn)[0])
 
 
 def _require_four_modes(state: FockState) -> None:
@@ -278,7 +282,7 @@ class LocalParitySplit:
     beta_tilde: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if abs(self.p_minus + self.p_plus - 1.0) > 1e-10:
+        if not _is_unit_weight(self.p_minus + self.p_plus):
             raise FermionError("local parity weights do not sum to 1")
         for c in (self.c_minus, self.c_plus):
             if not -1e-12 <= c <= 1.0 + 1e-12:
@@ -398,22 +402,14 @@ def majorization_stack(
     values = {name: np.empty(shape) for name in REGISTERED_ENTROPIES}
     spectra = []
     for p, part in enumerate(parts):
-        t = _coefficient_stack(vectors, part)
-        spec_a = _reduced_spectra(t @ t.conj().swapaxes(1, 2), first)
-        spec_b = _reduced_spectra(t.swapaxes(1, 2) @ t.conj(), first)
+        spec_a, spec_b = _side_spectra(vectors, part, first)
         spectra.append(spec_a)
         lambda_max[:, p] = spec_a[:, 0]
         for name, fn in REGISTERED_ENTROPIES.items():
-            s_a = _elementwise(fn, spec_a).sum(axis=1)
-            s_b = _elementwise(fn, spec_b).sum(axis=1)
-            _raise_first(
-                np.abs(s_a - s_b) > _ENTROPY_MATCH_TOL,
-                SideMismatchError, "side entropies differ: {} vs {}", first, s_a, s_b,
-            )
-            values[name][:, p] = s_a
+            values[name][:, p] = _matched_entropies(spec_a, spec_b, fn, first)
     rho, kappa = _one_body_stack(vectors, 4)
     _check_one_body(rho, kappa, first)
-    extended = hermitian_eigenvalues(_extended_stack(rho, kappa, first))
+    extended = hermitian_eigenvalues(_extended_stack(rho, kappa))
     return MajorizationStack(
         lambda_max=lambda_max,
         f_plus=extended[:, :4].mean(axis=1),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
@@ -163,6 +164,22 @@ def _require_unit_norm(state: FockState) -> None:
     """Raise NotNormalizedError unless the state's norm is 1 within TOL_NORM."""
     if not abs(state.norm() - 1.0) <= TOL_NORM:
         raise NotNormalizedError(f"state norm {state.norm()!r} is not 1 within {TOL_NORM}")
+
+
+def _is_unit_weight(weight):
+    """Whether a squared norm meets the unit-norm rule: its square root is 1 within TOL_NORM.
+
+    Elementwise on arrays; NaN fails.
+    """
+    return np.abs(np.sqrt(np.maximum(weight, 0.0)) - 1.0) <= TOL_NORM
+
+
+def _mode_index(mode) -> int:
+    """``mode`` as an int; a float, string or other non-integer raises ArgumentError."""
+    try:
+        return operator.index(mode)
+    except TypeError:
+        raise ArgumentError(f"mode {mode!r} is not an integer") from None
 
 
 def make_state(

@@ -49,6 +49,8 @@ from .fock import (
     TOL_ZERO,
     _defect,
     _dim,
+    _is_unit_weight,
+    _mode_index,
     _mode_tables,
     _require_unit_norm,
     make_state,
@@ -103,14 +105,15 @@ class BogoliubovMap:
 def validate_bogoliubov(U: np.ndarray, V: np.ndarray) -> BogoliubovMap:
     """Check the anticommutation-preserving constraints and wrap the blocks.
 
-    Raises NotSymplecticError with the largest constraint residual if
+    Raises DimensionMismatchError unless U and V are equal non-empty squares,
+    and NotSymplecticError with the largest constraint residual if
     UU^dag + VV^dag != 1, UV^T + VU^T != 0, or the stacked W is not unitary.
     """
     U = np.asarray(U, dtype=np.complex128)
     V = np.asarray(V, dtype=np.complex128)
-    if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape != V.shape:
+    if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape != V.shape or U.size == 0:
         raise DimensionMismatchError(
-            f"expected equal square blocks, got {U.shape} and {V.shape}"
+            f"expected equal non-empty square blocks, got {U.shape} and {V.shape}"
         )
     n = U.shape[0]
     eye = np.eye(n)
@@ -132,7 +135,7 @@ def identity_map(n_modes: int) -> BogoliubovMap:
 def particle_hole_map(n_modes: int, modes: Iterable[int]) -> BogoliubovMap:
     """Map with a_i = cdag_i on the listed modes and a_i = c_i elsewhere."""
     sel = np.zeros(n_modes)
-    for m in modes:
+    for m in map(_mode_index, modes):
         if not 0 <= m < n_modes:
             raise DimensionMismatchError(f"mode {m} out of range")
         sel[m] = 1.0
@@ -324,7 +327,7 @@ class SchmidtForm:
     def __post_init__(self) -> None:
         if not (self.alpha_plus >= self.alpha_minus >= 0.0):
             raise LiftFailureError("normal-form amplitudes out of order")
-        if abs(self.alpha_plus**2 + self.alpha_minus**2 - 1.0) > 1e-10:
+        if not _is_unit_weight(self.alpha_plus**2 + self.alpha_minus**2):
             raise LiftFailureError("normal-form amplitudes not normalized")
         if (
             abs(self.alpha_plus**2 - self.f_plus) > 1e-9

@@ -16,6 +16,7 @@ from fermient.correlations import (
 )
 from fermient.entanglement import (
     ModePartition,
+    ReducedDensity,
     bipartite_entropy,
     concurrence,
     concurrence_even,
@@ -27,7 +28,9 @@ from fermient.entanglement import (
     schmidt_concurrence,
 )
 from fermient.errors import (
+    ArgumentError,
     DimensionMismatchError,
+    NotHermitianError,
     NotNormalizedError,
     SideMismatchError,
     WrongParityError,
@@ -61,6 +64,42 @@ def test_partition_validation():
         ModePartition(4, ())
     with pytest.raises(SideMismatchError):
         ModePartition(4, (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("side_a, side_b", [
+    ((0.9,), None), (("1",), None), ((0,), (1, 2.0, 3)), ((0, 1), (2, 3.5)),
+])
+def test_partition_rejects_non_integer_modes(side_a, side_b):
+    # int() would truncate 0.9 to mode 0 and answer for another split
+    with pytest.raises(ArgumentError, match="is not an integer$"):
+        ModePartition(4, side_a, side_b)
+    part = ModePartition(4, (np.int64(1), np.uint8(3)), [np.int32(0), 2])
+    assert (part.side_a, part.side_b) == ((1, 3), (0, 2))
+    assert all(type(m) is int for m in part.side_a + part.side_b)
+
+
+def test_reduced_density_leaves_hermiticity_to_linalg():
+    with pytest.raises(NotHermitianError, match="^hermiticity defect"):
+        ReducedDensity((0,), "a", np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))
+
+
+def test_derived_weights_follow_the_unit_norm_rule():
+    # norm error 8.0e-11: the unit-norm rule accepts it, though the squared norm misses 1 by 1.6e-10
+    vector = np.zeros(16, dtype=complex)
+    vector[[0b0000, 0b0101, 0b1010, 0b1111]] = 0.5 * (1.0 + 0.8e-10)
+    state = FockState(4, vector, "even")
+    assert abs(state.norm() - 1.0) == pytest.approx(8.0e-11, rel=1e-6)
+    part = ModePartition(4, (0, 1))
+    concurrence(state)
+    one_body(state)
+    # the reduced trace, p_- + p_+ and alpha_+^2 + alpha_-^2 are squared norms
+    split = local_parity_split(state, part)
+    assert split.p_minus + split.p_plus == pytest.approx(1.0, abs=1e-9)
+    assert np.sum(reduced_state(state, part).spectrum()) == pytest.approx(1.0, abs=1e-9)
+    assert bipartite_entropy(state, part) == pytest.approx(2.0, abs=1e-9)
+    assert majorization_check(state, part)["holds"]
+    form = normal_form(state)
+    assert form.alpha_plus**2 + form.alpha_minus**2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_reduced_state_matches_sign_oracle(rng):

@@ -4,6 +4,7 @@ kernels and the gates."""
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from fermient import (
     ModePartition,
     NotHermitianError,
     OperatorPropertyError,
+    SideMismatchError,
     basis_state,
     cli,
     compose,
@@ -134,6 +136,17 @@ def test_partial_trace_on_shuffled_partitions(n, parity, seed, data):
     spectrum = reduced_state(state, relisted, "a").spectrum()
     assert np.max(np.abs(spectrum - rho_a.spectrum())) <= 1e-10
 
+    # every S(rho_A) reader goes through the one stacked kernel, so all agree exactly
+    spec_a, spec_b = entanglement._side_spectra(state.vector[None], part)
+    entropy = entanglement._matched_entropies(spec_a, spec_b, von_neumann_term)
+    assert np.array_equal(spec_a[0], rho_a.spectrum())
+    assert np.array_equal(spec_b[0], rho_b.spectrum())
+    assert entropy[0] == bipartite_entropy(state, part)
+    if n == 4 and k in (1, 2):
+        batch = majorization_stack(state.vector[None], [part])
+        assert np.array_equal(batch.spectra[0][0], spec_a[0])
+        assert batch.values["von_neumann"][0, 0] == entropy[0]
+
 
 def _counting(calls: list, fn):
     def wrapper(*args, **kwargs):
@@ -199,6 +212,11 @@ def test_bipartition_builds_each_reduced_state_once(monkeypatch, capsys):
     capsys.readouterr()
     # rho_A and rho_B for the spectrum and every entropy, then the extended matrix
     assert eigensolves == [(1, 4, 4)] * 2 + [(1, 8, 8)]
+    eigensolves.clear()
+    assert cli.main(["bipartition", str(_GOLDEN / "even4.json"), "--a", "0,1,2"]) == 0
+    capsys.readouterr()
+    # not a Lemma split: rho_A and rho_B only
+    assert eigensolves == [(1, 8, 8), (1, 2, 2)]
 
 
 def test_one_body_spectrum_is_computed_once(monkeypatch, capsys):
@@ -429,6 +447,25 @@ def test_majorization_stack_names_the_failing_sample():
         scaled[bad] *= 1.1
         with pytest.raises(FermionError, match=f"trace differs from 1 at sample {100 + bad}$"):
             majorization_stack(scaled, parts, first=100)
+
+
+def test_side_entropy_mismatch_is_one_check(monkeypatch, capsys):
+    monkeypatch.setattr(entanglement, "_ENTROPY_MATCH_TOL", -1.0)
+    state = load_state(_GOLDEN / "even4.json")
+    part = ModePartition(4, (0, 2))
+    message = r"^side entropies differ: \S+ vs \S+"
+    with pytest.raises(SideMismatchError, match=message + "$"):
+        bipartite_entropy(state, part)
+    with pytest.raises(SideMismatchError, match=message):
+        majorization_check(state, part)
+    with pytest.raises(SideMismatchError, match=message + " at sample 100$"):
+        majorization_stack(state.vector[None], [part], first=100)
+    # a Lemma split and a split that is not one
+    for side in ("0,2", "0,1,2"):
+        assert cli.main(["bipartition", str(_GOLDEN / "even4.json"), "--a", side]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: side entropies differ: \S+ vs \S+\n", err)
 
 
 _PROBABILITY = st.one_of(

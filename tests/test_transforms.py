@@ -18,6 +18,7 @@ from fermient import (
 )
 from fermient.correlations import extended_density, one_body
 from fermient.errors import (
+    ArgumentError,
     DimensionMismatchError,
     LiftFailureError,
     MemoryBudgetError,
@@ -68,6 +69,24 @@ def test_validate_rejects_nan_entries(block, entry):
 def test_validate_rejects_shape_mismatch():
     with pytest.raises(DimensionMismatchError):
         validate_bogoliubov(np.eye(3), np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: identity_map(0),
+    lambda: random_bogoliubov(0, seed=1),
+    lambda: validate_bogoliubov(np.zeros((0, 0)), np.zeros((0, 0))),
+], ids=["identity_map", "random_bogoliubov", "validate_bogoliubov"])
+def test_empty_maps_are_rejected(build):
+    # before any residual is reduced over an empty block
+    with pytest.raises(DimensionMismatchError, match="non-empty"):
+        build()
+
+
+def test_particle_hole_map_rejects_non_integer_modes():
+    for bad in ([1.5], ["1"], [0, 2.0]):
+        with pytest.raises(ArgumentError, match="is not an integer$"):
+            particle_hole_map(4, bad)
+    assert np.array_equal(particle_hole_map(4, [np.int64(2)]).V, np.diag([0.0, 0.0, 1.0, 0.0]))
 
 
 def test_random_map_satisfies_constraints_and_is_seeded():
