@@ -5,6 +5,12 @@ The one-body matrix is ``rho[i, j] = <cdag_j c_i>`` and the anomalous block is
 block form ``[[rho, kappa], [-conj(kappa), 1 - conj(rho)]]``, whose spectrum is
 invariant under Bogoliubov transformations and comes in (f, 1-f) pairs.
 
+Both blocks are built on the state's tagged parity sector: c_i psi and
+cdag_i psi lie in the other sector, so the kernel gathers, signs and
+contracts only its 2^(n-1) masks, read from per-n tables (``_sector_tables``)
+built on first use. Weight outside the tagged sector, at most TOL_NORM of the
+total for a FockState, is dropped.
+
 Two entropy conventions coexist deliberately and are NOT interchangeable:
 
 - ``sp_entropy`` sums the binary entropy h over the one-body eigenvalues
@@ -17,13 +23,14 @@ Two entropy conventions coexist deliberately and are NOT interchangeable:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import HermiticityDefectError
-from .fock import FockState, _mode_tables, _require_unit_norm
+from .fock import FockState, _mode_tables, _raise_first, _require_unit_norm, _sector_masks
 from .linalg import Spectrum, hermitian_eigensystem
 
 __all__ = [
@@ -44,21 +51,6 @@ __all__ = [
 ]
 
 _EIG_TOL = 1e-9
-
-
-def _raise_first(
-    bad: np.ndarray, error: type[Exception], message: str, first: int | None, *details: np.ndarray
-) -> None:
-    """Raise ``error`` if any entry of ``bad`` is set, one entry per matrix of a stack.
-
-    The message is ``message`` formatted with the entries of ``details`` at the
-    first set index k. With ``first`` given it also names the sample ``first + k``.
-    """
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        k = int(hits[0])
-        text = message.format(*(d[k] for d in details))
-        raise error(text if first is None else f"{text} at sample {first + k}")
 
 
 def _check_one_body(rho: np.ndarray, kappa: np.ndarray, first: int | None = None) -> np.ndarray:
@@ -121,19 +113,45 @@ class ExtendedDensity:
         return hermitian_eigensystem(self.m)
 
 
-def _one_body_stack(vectors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _sector_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where c_i and cdag_i take a state of each parity, read off ``_mode_tables``.
+
+    A state of parity p (0 even, 1 odd) is mapped by c_i and cdag_i onto the
+    2^(n-1) masks q of parity 1 - p, ascending. Returns read-only (index, c,
+    cdag), each (2, n, 2^(n-1)), with row [p, i] serving parity p: column k
+    holds the source mask index[p, i, k] = q[k] ^ (1 << i) of the amplitude
+    that lands on q[k], in the narrowest unsigned type that holds it, and the
+    int8 signs c[i, q[k]] and cdag[i, q[k]].
+    """
+    c, cdag = _mode_tables(n)
+    targets = _sector_masks(n)[::-1]  # row p: the masks of parity 1 - p
+    index = targets[:, None, :] ^ (1 << np.arange(n))[:, None]
+    tables = (
+        index.astype(np.min_scalar_type((1 << n) - 1)),
+        np.stack([c[:, q] for q in targets]),
+        np.stack([cdag[:, q] for q in targets]),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _one_body_stack(vectors: np.ndarray, n: int, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho and kappa of every state vector in an (S, 2^n) stack, as (S, n, n) stacks.
 
     rho[s, i, j] = <c_j psi | c_i psi> and kappa[s, i, j] = <cdag_j psi | c_i psi>,
-    which equal <cdag_j c_i> and <c_j c_i> respectively.
+    which equal <cdag_j c_i> and <c_j c_i> respectively. ``odd[s]`` is 1 for
+    an odd sample s and 0 for an even one; c_i psi and cdag_i psi are formed
+    only on the other sector, so weight of psi outside its own is dropped.
     """
-    c, cdag = _mode_tables(n)
-    # row [s, i] of ann is c_i applied to vectors[s], and of cre cdag_i
-    moved = vectors[:, np.arange(1 << n) ^ (1 << np.arange(n))[:, None]]
+    index, c, cdag = (table[odd] for table in _sector_tables(n))
+    # row [s, i] of ann is c_i applied to vectors[s], and of cre cdag_i, on the opposite sector
+    moved = np.take(vectors.reshape(-1), index + (np.arange(len(vectors)) << n)[:, None, None])
     ann = c * moved
     cre = np.multiply(moved, cdag, out=moved)  # reuses the gather's buffer
-    rho = ann @ ann.conj().swapaxes(1, 2)
-    kappa = ann @ cre.conj().swapaxes(1, 2)
+    kappa = ann @ np.conjugate(cre, out=cre).swapaxes(1, 2)
+    rho = ann @ np.conjugate(ann, out=cre).swapaxes(1, 2)  # cre is spent; its buffer takes ann*
     rho = (rho + rho.conj().swapaxes(1, 2)) / 2.0
     kappa = (kappa - kappa.swapaxes(1, 2)) / 2.0
     return rho, kappa
@@ -154,7 +172,8 @@ def _extended_stack(rho: np.ndarray, kappa: np.ndarray) -> np.ndarray:
 def one_body(state: FockState) -> OneBodyDensity:
     """Both one-body blocks of a unit-norm state; a stack of one through ``_one_body_stack``."""
     _require_unit_norm(state)
-    rho, kappa = _one_body_stack(state.vector[None], state.n_modes)
+    odd = np.array([state.parity == "odd"], dtype=np.intp)
+    rho, kappa = _one_body_stack(state.vector[None], state.n_modes, odd)
     return OneBodyDensity(rho=rho[0], kappa=kappa[0])
 
 

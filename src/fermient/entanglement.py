@@ -20,7 +20,6 @@ from .correlations import (
     _elementwise,
     _extended_stack,
     _one_body_stack,
-    _raise_first,
     one_body,
     quadratic_term,
     spectrum_entropy,
@@ -34,7 +33,14 @@ from .errors import (
     WrongParityError,
     WrongShapeError,
 )
-from .fock import TOL_NORM, FockState, _is_unit_weight, _mode_index, _require_unit_norm
+from .fock import (
+    FockState,
+    _is_unit_weight,
+    _mode_index,
+    _raise_first,
+    _require_unit_norm,
+    _sector_parities,
+)
 from .linalg import hermitian_eigenvalues
 
 __all__ = [
@@ -77,6 +83,7 @@ class ModePartition:
         side_a: Iterable[int],
         side_b: Iterable[int] | None = None,
     ) -> None:
+        n_modes = _mode_index(n_modes)
         a = tuple(_mode_index(m) for m in side_a)
         if side_b is None:
             b = tuple(m for m in range(n_modes) if m not in a)
@@ -407,7 +414,7 @@ def majorization_stack(
         lambda_max[:, p] = spec_a[:, 0]
         for name, fn in REGISTERED_ENTROPIES.items():
             values[name][:, p] = _matched_entropies(spec_a, spec_b, fn, first)
-    rho, kappa = _one_body_stack(vectors, 4)
+    rho, kappa = _one_body_stack(vectors, 4, _sector_parities(vectors, 4, first))
     _check_one_body(rho, kappa, first)
     extended = hermitian_eigenvalues(_extended_stack(rho, kappa))
     return MajorizationStack(
@@ -428,13 +435,13 @@ def majorization_check(state: FockState, part: ModePartition) -> dict:
     A stack of one through ``majorization_stack``, judged at LEMMA_TOL.
     """
     _require_four_modes(state)
-    return majorization_stack(state.vector[None], [part]).verdict(LEMMA_TOL)
+    return majorization_stack(state.vector[None], [part], first=None).verdict(LEMMA_TOL)
 
 
 def schmidt_concurrence(beta1, beta2, bt1, bt2) -> float:
     """Concurrence of a state given in local-parity Schmidt coefficients."""
     norm = abs(beta1) ** 2 + abs(beta2) ** 2 + abs(bt1) ** 2 + abs(bt2) ** 2
-    if not abs(norm - 1.0) <= TOL_NORM:  # also rejects NaN
+    if not _is_unit_weight(norm):  # also rejects NaN
         raise NotNormalizedError(f"coefficient norm {norm!r} differs from 1")
     return min(2.0 * abs(beta1 * beta2 + bt1 * bt2), 1.0)
 

@@ -59,29 +59,53 @@ def _dim(n_modes: int) -> int:
 
 
 @functools.cache
-def _mask_parities(n_modes: int) -> np.ndarray:
-    """Parity (0 even, 1 odd) of every basis mask, as a read-only uint8 array."""
-    masks = np.arange(1 << n_modes, dtype=np.uint64)
-    parities = (np.bitwise_count(masks) & 1).astype(np.uint8)
-    parities.setflags(write=False)
-    return parities
+def _sector_masks(n_modes: int) -> np.ndarray:
+    """Basis masks of each parity sector, ascending: read-only (2, 2^(n-1)), row 0 even, row 1 odd."""
+    masks = np.arange(1 << n_modes)
+    odd = (np.bitwise_count(masks) & 1).astype(bool)
+    sectors = np.stack([masks[~odd], masks[odd]])
+    sectors.setflags(write=False)
+    return sectors
+
+
+def _raise_first(
+    bad: np.ndarray, error: type[Exception], message: str, first: int | None, *details: np.ndarray
+) -> None:
+    """Raise ``error`` if any entry of ``bad`` is set, one entry per sample of a stack.
+
+    The message is ``message`` formatted with the entries of ``details`` at the
+    first set index k. With ``first`` given it also names the sample ``first + k``.
+    """
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        k = int(hits[0])
+        text = message.format(*(d[k] for d in details))
+        raise error(text if first is None else f"{text} at sample {first + k}")
+
+
+def _sector_parities(vectors: np.ndarray, n_modes: int, first: int | None = None) -> np.ndarray:
+    """Parity (0 even, 1 odd) of every row of an (S, 2^n) stack, from one pass over its weights.
+
+    A row with total weight at most TOL_ZERO^2 raises ZeroNormError. A row is
+    even if at most TOL_NORM of its weight is odd, else odd if at most TOL_NORM
+    is even; otherwise (NaN too) it raises MixedParityError. Errors name the
+    sample ``first + k`` when ``first`` is given.
+    """
+    w_even, w_odd = np.take(np.abs(vectors) ** 2, _sector_masks(n_modes), axis=1).sum(axis=2).T
+    total = w_even + w_odd
+    _raise_first(total <= TOL_ZERO**2, ZeroNormError, "cannot assign a parity to the zero vector", first)
+    limit = TOL_NORM * total
+    odd = w_odd > limit
+    _raise_first(
+        ~(w_even <= limit) & ~(w_odd <= limit), MixedParityError,
+        "state mixes parity sectors (even weight {:.3e}, odd weight {:.3e})", first, w_even, w_odd,
+    )
+    return odd.astype(np.intp)
 
 
 def vector_parity(vector: np.ndarray, n_modes: int) -> Parity:
     """Parity tag of ``vector``; raises MixedParityError if both sectors hold weight."""
-    par = _mask_parities(n_modes)
-    w_even = float(np.sum(np.abs(vector[par == 0]) ** 2))
-    w_odd = float(np.sum(np.abs(vector[par == 1]) ** 2))
-    total = w_even + w_odd
-    if total <= TOL_ZERO**2:
-        raise ZeroNormError("cannot assign a parity to the zero vector")
-    if w_odd <= TOL_NORM * total:
-        return "even"
-    if w_even <= TOL_NORM * total:
-        return "odd"
-    raise MixedParityError(
-        f"state mixes parity sectors (even weight {w_even:.3e}, odd weight {w_odd:.3e})"
-    )
+    return ("even", "odd")[_sector_parities(np.asarray(vector)[None], n_modes)[0]]
 
 
 @dataclass(frozen=True)
@@ -124,7 +148,7 @@ class FockState:
         total = float(np.sum(weights))
         if not math.isfinite(total):  # a NaN or infinite amplitude, or overflowing weights
             raise NotNormalizedError(f"state vector has non-finite weight {total}")
-        outside = _mask_parities(self.n_modes) != (self.parity == "odd")
+        outside = _sector_masks(self.n_modes)[1 if self.parity == "even" else 0]
         w_out = float(np.sum(weights[outside]))
         if w_out > TOL_NORM * total:
             raise WrongParityError(
@@ -513,10 +537,8 @@ def random_state(
     if parity is None:
         parity = "even" if rng.integers(2) == 0 else "odd"
     dim = _dim(n_modes)
-    par = _mask_parities(n_modes)
-    want = 0 if parity == "even" else 1
     vec = np.zeros(dim, dtype=np.complex128)
-    sector = np.flatnonzero(par == want)
+    sector = _sector_masks(n_modes)[0 if parity == "even" else 1]
     vec[sector] = rng.normal(size=sector.size) + 1j * rng.normal(size=sector.size)
     vec /= np.linalg.norm(vec)
     return FockState(n_modes=n_modes, vector=vec, parity=parity)

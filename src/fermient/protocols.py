@@ -84,9 +84,9 @@ from .errors import (
 from .fock import (
     FockOperator,
     FockState,
-    TOL_NORM,
     TOL_ZERO,
     _dim,
+    _is_unit_weight,
     _mode_tables,
     apply_operator_string,
     vacuum_state,
@@ -453,7 +453,7 @@ def run_teleportation(coefficients: tuple[complex, complex], kind: Kind) -> Tele
     """
     alpha, beta = complex(coefficients[0]), complex(coefficients[1])
     weight = abs(alpha) ** 2 + abs(beta) ** 2
-    if not abs(weight - 1.0) <= TOL_NORM:  # also rejects NaN
+    if not _is_unit_weight(weight):  # also rejects NaN
         raise NotNormalizedError(f"|alpha|^2 + |beta|^2 = {weight:.12f}, expected 1")
     if kind not in ("odd", "even"):
         raise ArgumentError(f"unknown encoding kind {kind!r}")

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -36,6 +37,42 @@ def oracle_creation_matrix(n_modes: int, mode: int) -> np.ndarray:
 
 def oracle_annihilation_matrix(n_modes: int, mode: int) -> np.ndarray:
     return oracle_creation_matrix(n_modes, mode).conj().T
+
+
+@functools.cache
+def _popcounts(n_modes: int) -> np.ndarray:
+    return np.array([slow_popcount(m) for m in range(2**n_modes)])
+
+
+def _oracle_apply(vector, n_modes: int, mode: int, create: bool) -> np.ndarray:
+    """cdag_mode or c_mode on a full coefficient vector, every mask at once.
+
+    The operator sets (creation) or clears (annihilation) bit ``mode`` of each
+    mask that allows it, with sign (-1)^(occupied modes below ``mode``).
+    """
+    masks = np.arange(2**n_modes)
+    bit = 1 << mode
+    source = masks[((masks & bit) == 0) == create]
+    out = np.zeros(2**n_modes, dtype=complex)
+    out[source ^ bit] = (-1.0) ** _popcounts(n_modes)[source & (bit - 1)] * vector[source]
+    return out
+
+
+def oracle_one_body(vector, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """rho[i, j] = <psi| cdag_j c_i |psi> and kappa[i, j] = <psi| c_j c_i |psi> on all 2^n masks.
+
+    Both operators of each (i, j) act on the full vector by the bit rule, so
+    weight outside the state's parity sector is kept.
+    """
+    v = np.asarray(vector, dtype=complex)
+    rho = np.zeros((n_modes, n_modes), dtype=complex)
+    kappa = np.zeros((n_modes, n_modes), dtype=complex)
+    for i in range(n_modes):
+        ci = _oracle_apply(v, n_modes, i, create=False)
+        for j in range(n_modes):
+            rho[i, j] = np.vdot(v, _oracle_apply(ci, n_modes, j, create=True))
+            kappa[i, j] = np.vdot(v, _oracle_apply(ci, n_modes, j, create=False))
+    return rho, kappa
 
 
 def oracle_quasiparticles(bmap):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,18 @@ def oracle_blocks(state):
             rho[i, j] = v.conj() @ cds[j] @ cs[i] @ v
             kappa[i, j] = v.conj() @ cs[j] @ cs[i] @ v
     return rho, kappa
+
+
+def test_one_body_at_twelve_modes_stays_within_its_memory_budget():
+    # the kernel holds two (12, 2048) complex buffers of the opposite sector; a full-space
+    # gather over all 4096 masks peaked at 2.3 MB
+    state = random_state(12, parity="odd", seed=12)
+    one_body(state)  # builds the per-n tables outside the measurement
+    tracemalloc.start()
+    one_body(state)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def bell_type_state():

@@ -30,6 +30,7 @@ from fermient.entanglement import (
 from fermient.errors import (
     ArgumentError,
     DimensionMismatchError,
+    FermionError,
     NotHermitianError,
     NotNormalizedError,
     SideMismatchError,
@@ -37,6 +38,7 @@ from fermient.errors import (
     WrongShapeError,
 )
 from fermient.fock import FockState
+from fermient.protocols import run_teleportation
 from fermient.transforms import (
     lift_to_fock,
     normal_form,
@@ -78,6 +80,20 @@ def test_partition_rejects_non_integer_modes(side_a, side_b):
     assert all(type(m) is int for m in part.side_a + part.side_b)
 
 
+@pytest.mark.parametrize("n_modes", [4.0, "4", None])
+def test_partition_rejects_a_non_integer_mode_count(n_modes):
+    with pytest.raises(ArgumentError, match="is not an integer$"):
+        ModePartition(n_modes, (0,))
+    assert ModePartition(np.int64(4), (0,)).n_modes == 4
+
+
+def test_majorization_check_names_no_sample():
+    # a stack of one, like bipartition: its errors carry no sample suffix
+    state = FockState(4, 1.1 * make_state(4, PSI_00).vector, "even")
+    with pytest.raises(FermionError, match="^reduced matrix trace differs from 1$"):
+        majorization_check(state, ModePartition(4, (0, 1)))
+
+
 def test_reduced_density_leaves_hermiticity_to_linalg():
     with pytest.raises(NotHermitianError, match="^hermiticity defect"):
         ReducedDensity((0,), "a", np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))
@@ -100,6 +116,15 @@ def test_derived_weights_follow_the_unit_norm_rule():
     assert majorization_check(state, part)["holds"]
     form = normal_form(state)
     assert form.alpha_plus**2 + form.alpha_minus**2 == pytest.approx(1.0, abs=1e-9)
+    # coefficients given directly: squared weights, under the same rule
+    scale = 1.0 + 0.8e-10
+    assert schmidt_concurrence(*[0.5 * scale] * 4) == 1.0
+    run_teleportation((0.6 * scale, 0.8j * scale), "odd")
+    # scaled by 1.1, both stay rejected
+    with pytest.raises(NotNormalizedError, match="^coefficient norm "):
+        schmidt_concurrence(*[0.55] * 4)
+    with pytest.raises(NotNormalizedError, match=r"^\|alpha\|\^2 \+ \|beta\|\^2 = "):
+        run_teleportation((0.66, 0.88j), "odd")
 
 
 def test_reduced_state_matches_sign_oracle(rng):

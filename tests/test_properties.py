@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermient import (
     FermionError,
+    FockState,
+    MixedParityError,
     ModePartition,
     NotHermitianError,
     OperatorPropertyError,
@@ -36,7 +38,13 @@ from fermient import (
     transformed_amplitudes,
     validate_bogoliubov,
 )
-from fermient.correlations import binary_entropy, quadratic_term, sp_entropy, von_neumann_term
+from fermient.correlations import (
+    binary_entropy,
+    one_body,
+    quadratic_term,
+    sp_entropy,
+    von_neumann_term,
+)
 from fermient.entanglement import (
     LEMMA_TOL,
     bipartite_entropy,
@@ -67,6 +75,7 @@ from conftest import (
     oracle_exp,
     oracle_extended_spectrum,
     oracle_lift,
+    oracle_one_body,
     oracle_pauli,
     oracle_quasiparticles,
     oracle_reduced,
@@ -447,6 +456,45 @@ def test_majorization_stack_names_the_failing_sample():
         scaled[bad] *= 1.1
         with pytest.raises(FermionError, match=f"trace differs from 1 at sample {100 + bad}$"):
             majorization_stack(scaled, parts, first=100)
+
+
+def test_majorization_stack_rejects_a_mixed_parity_sample():
+    vectors = np.array([random_state(4, parity=("even", "odd")[k % 2], seed=k).vector
+                        for k in range(6)])
+    vectors[3] = (vectors[2] + vectors[3]) / math.sqrt(2.0)  # even + odd, unit norm
+    parts = [ModePartition(4, side) for side in _LEMMA_SIDES]
+    with pytest.raises(MixedParityError, match="^state mixes parity sectors .* at sample 103$"):
+        majorization_stack(vectors, parts, first=100)
+    # the reduced-state checks still come first
+    vectors[3] *= 1.1
+    with pytest.raises(FermionError, match="trace differs from 1 at sample 103$"):
+        majorization_stack(vectors, parts, first=100)
+
+
+_LEAK = 0.9 * TOL_NORM
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(1, 12),
+    parity=st.sampled_from(["even", "odd"]),
+    seed=st.integers(0, 2**32 - 1),
+    leak=st.booleans(),
+)
+@example(n=12, parity="odd", seed=0, leak=False)
+@example(n=12, parity="even", seed=1, leak=True)
+def test_one_body_matches_the_full_space_oracle(n, parity, seed, leak):
+    # the kernel works on the tagged sector only; a leak puts 0.9 TOL_NORM of the weight outside it
+    rng = np.random.default_rng(seed)
+    vector = random_state(n, parity=parity, rng=rng).vector
+    if leak:
+        other = random_state(n, parity="odd" if parity == "even" else "even", rng=rng).vector
+        vector = math.sqrt(1.0 - _LEAK) * vector + math.sqrt(_LEAK) * other
+    blocks = one_body(FockState(n, vector, parity))
+    rho, kappa = oracle_one_body(vector, n)
+    tol = 2e-10 if leak else 1e-12
+    assert np.max(np.abs(blocks.rho - rho)) <= tol
+    assert np.max(np.abs(blocks.kappa - kappa)) <= tol
 
 
 def test_side_entropy_mismatch_is_one_check(monkeypatch, capsys):
