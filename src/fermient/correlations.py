@@ -137,13 +137,13 @@ def _sector_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _one_body_stack(vectors: np.ndarray, n: int, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _one_body_stack(vectors: np.ndarray, n: int, odd) -> tuple[np.ndarray, np.ndarray]:
     """rho and kappa of every state vector in an (S, 2^n) stack, as (S, n, n) stacks.
 
     rho[s, i, j] = <c_j psi | c_i psi> and kappa[s, i, j] = <cdag_j psi | c_i psi>,
-    which equal <cdag_j c_i> and <c_j c_i> respectively. ``odd[s]`` is 1 for
-    an odd sample s and 0 for an even one; c_i psi and cdag_i psi are formed
-    only on the other sector, so weight of psi outside its own is dropped.
+    which equal <cdag_j c_i> and <c_j c_i> respectively. ``odd`` (1 odd, 0 even) is
+    one int for the stack, whose tables are then read as views, or one per sample.
+    c_i psi and cdag_i psi are formed only on the other sector; weight outside is dropped.
     """
     index, c, cdag = (table[odd] for table in _sector_tables(n))
     # row [s, i] of ann is c_i applied to vectors[s], and of cre cdag_i, on the opposite sector
@@ -172,8 +172,7 @@ def _extended_stack(rho: np.ndarray, kappa: np.ndarray) -> np.ndarray:
 def one_body(state: FockState) -> OneBodyDensity:
     """Both one-body blocks of a unit-norm state; a stack of one through ``_one_body_stack``."""
     _require_unit_norm(state)
-    odd = np.array([state.parity == "odd"], dtype=np.intp)
-    rho, kappa = _one_body_stack(state.vector[None], state.n_modes, odd)
+    rho, kappa = _one_body_stack(state.vector[None], state.n_modes, int(state.parity == "odd"))
     return OneBodyDensity(rho=rho[0], kappa=kappa[0])
 
 

@@ -40,6 +40,7 @@ from .fock import (
     _raise_first,
     _require_unit_norm,
     _sector_parities,
+    _sector_weights,
 )
 from .linalg import hermitian_eigenvalues
 
@@ -414,7 +415,7 @@ def majorization_stack(
         lambda_max[:, p] = spec_a[:, 0]
         for name, fn in REGISTERED_ENTROPIES.items():
             values[name][:, p] = _matched_entropies(spec_a, spec_b, fn, first)
-    rho, kappa = _one_body_stack(vectors, 4, _sector_parities(vectors, 4, first))
+    rho, kappa = _one_body_stack(vectors, 4, _sector_parities(_sector_weights(vectors, 4), first))
     _check_one_body(rho, kappa, first)
     extended = hermitian_eigenvalues(_extended_stack(rho, kappa))
     return MajorizationStack(

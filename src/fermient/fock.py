@@ -83,15 +83,20 @@ def _raise_first(
         raise error(text if first is None else f"{text} at sample {first + k}")
 
 
-def _sector_parities(vectors: np.ndarray, n_modes: int, first: int | None = None) -> np.ndarray:
-    """Parity (0 even, 1 odd) of every row of an (S, 2^n) stack, from one pass over its weights.
+def _sector_weights(vectors: np.ndarray, n_modes: int) -> np.ndarray:
+    """Even and odd weight sum |v|^2 of every row of an (S, 2^n) stack, one pass: (S, 2)."""
+    return np.take(np.abs(vectors) ** 2, _sector_masks(n_modes), axis=1).sum(axis=2)
+
+
+def _sector_parities(weights: np.ndarray, first: int | None = None) -> np.ndarray:
+    """Parity (0 even, 1 odd) of every row of ``_sector_weights``' (S, 2) output.
 
     A row with total weight at most TOL_ZERO^2 raises ZeroNormError. A row is
     even if at most TOL_NORM of its weight is odd, else odd if at most TOL_NORM
     is even; otherwise (NaN too) it raises MixedParityError. Errors name the
     sample ``first + k`` when ``first`` is given.
     """
-    w_even, w_odd = np.take(np.abs(vectors) ** 2, _sector_masks(n_modes), axis=1).sum(axis=2).T
+    w_even, w_odd = weights.T
     total = w_even + w_odd
     _raise_first(total <= TOL_ZERO**2, ZeroNormError, "cannot assign a parity to the zero vector", first)
     limit = TOL_NORM * total
@@ -101,11 +106,6 @@ def _sector_parities(vectors: np.ndarray, n_modes: int, first: int | None = None
         "state mixes parity sectors (even weight {:.3e}, odd weight {:.3e})", first, w_even, w_odd,
     )
     return odd.astype(np.intp)
-
-
-def vector_parity(vector: np.ndarray, n_modes: int) -> Parity:
-    """Parity tag of ``vector``; raises MixedParityError if both sectors hold weight."""
-    return ("even", "odd")[_sector_parities(np.asarray(vector)[None], n_modes)[0]]
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,7 @@ class FockState:
     n_modes: int
     vector: np.ndarray = field(repr=False)
     parity: Parity
+    _weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dim = _dim(self.n_modes)
@@ -144,18 +145,30 @@ class FockState:
             )
         if self.parity not in ("even", "odd"):
             raise WrongParityError(f"parity tag must be 'even' or 'odd', got {self.parity!r}")
-        weights = np.abs(vector) ** 2
-        total = float(np.sum(weights))
+        self._seal(vector, _sector_weights(vector[None], self.n_modes)[0])
+
+    def _seal(self, vector: np.ndarray, weights: np.ndarray) -> None:
+        """Store ``vector`` read-only with its total weight once its (even, odd) ``weights`` pass."""
+        total = float(weights[0] + weights[1])
         if not math.isfinite(total):  # a NaN or infinite amplitude, or overflowing weights
             raise NotNormalizedError(f"state vector has non-finite weight {total}")
-        outside = _sector_masks(self.n_modes)[1 if self.parity == "even" else 0]
-        w_out = float(np.sum(weights[outside]))
+        w_out = float(weights[1 if self.parity == "even" else 0])
         if w_out > TOL_NORM * total:
             raise WrongParityError(
                 f"state tagged {self.parity!r} holds weight {w_out:.3e} outside its sector"
             )
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "_weight", total)
+
+    @classmethod
+    def _weighed(cls, n_modes: int, vector: np.ndarray, parity: Parity, weights) -> "FockState":
+        """State whose caller weighed the fresh complex ``vector``; kept without a copy."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_modes", n_modes)
+        object.__setattr__(state, "parity", parity)
+        state._seal(vector, weights)
+        return state
 
     @property
     def dim(self) -> int:
@@ -173,7 +186,7 @@ class FockState:
         return [(int(m), complex(self.vector[m])) for m in idx]
 
     def is_zero(self) -> bool:
-        return self.norm() <= TOL_ZERO
+        return self._weight <= TOL_ZERO**2
 
     def overlap(self, other: "FockState") -> complex:
         """Inner product <self|other>."""
@@ -186,7 +199,7 @@ class FockState:
 
 def _require_unit_norm(state: FockState) -> None:
     """Raise NotNormalizedError unless the state's norm is 1 within TOL_NORM."""
-    if not abs(state.norm() - 1.0) <= TOL_NORM:
+    if not _is_unit_weight(state._weight):
         raise NotNormalizedError(f"state norm {state.norm()!r} is not 1 within {TOL_NORM}")
 
 
@@ -231,19 +244,23 @@ def make_state(
     MixedParityError
         Support straddles both parity sectors.
     NotNormalizedError
-        An amplitude is NaN or infinite.
+        An amplitude is NaN or infinite, or, with ``normalize`` false, the
+        norm is not 1 within TOL_NORM.
     DimensionMismatchError
         Mask out of range or wrong vector length.
+    ArgumentError
+        A dict mask that is not an integer.
     """
     dim = _dim(n_modes)
     vec = np.zeros(dim, dtype=np.complex128)
     if isinstance(amplitudes, dict):
         for mask, amp in amplitudes.items():
-            if not 0 <= int(mask) < dim:
+            mask = _mode_index(mask)
+            if not 0 <= mask < dim:
                 raise DimensionMismatchError(
                     f"mask {mask} out of range for {n_modes} modes"
                 )
-            vec[int(mask)] = complex(amp)
+            vec[mask] = complex(amp)
     else:
         arr = np.asarray(amplitudes, dtype=np.complex128)
         if arr.shape != (dim,):
@@ -255,16 +272,16 @@ def make_state(
     non_finite = np.flatnonzero(~np.isfinite(vec))
     if non_finite.size:
         raise NotNormalizedError(f"amplitude of mask {non_finite[0]} is not finite")
-    nrm = float(np.linalg.norm(vec))
-    if nrm <= TOL_ZERO:
+    weights = _sector_weights(vec[None], n_modes)
+    if weights.sum() <= TOL_ZERO**2:
         raise ZeroNormError("state vector has zero norm")
+    nrm = float(np.linalg.norm(vec))
+    if not (normalize or _is_unit_weight(weights.sum())):
+        raise NotNormalizedError(f"state vector norm {nrm!r} is not 1 within {TOL_NORM}")
+    parity = ("even", "odd")[_sector_parities(weights)[0]]
     if normalize:
-        vec = vec / nrm
-    elif abs(nrm - 1.0) > TOL_NORM:
-        raise ZeroNormError(f"state vector norm {nrm!r} is not 1 within {TOL_NORM}")
-
-    parity = vector_parity(vec, n_modes)
-    return FockState(n_modes=n_modes, vector=vec, parity=parity)
+        vec, weights = vec / nrm, weights / nrm**2
+    return FockState._weighed(n_modes, vec, parity, weights[0])
 
 
 def vacuum_state(n_modes: int) -> FockState:
@@ -305,6 +322,7 @@ def _mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _mode_entries(n_modes: int, mode: int, dagger: bool) -> tuple[np.ndarray, np.ndarray]:
     """(rows, sign) of c_mode or cdag_mode, which moves the amplitude at
     ``rows ^ (1 << mode)`` to ``rows`` with factor ``sign``."""
+    mode = _mode_index(mode)
     if not 0 <= mode < n_modes:
         raise DimensionMismatchError(f"mode {mode} out of range for {n_modes} modes")
     coef = _mode_tables(n_modes)[dagger][mode]
@@ -383,11 +401,10 @@ def annihilation_matrix(n_modes: int, mode: int) -> np.ndarray:
 def number_matrix(n_modes: int, mode: int) -> np.ndarray:
     """Dense matrix of the occupation-number operator n_mode = cdag_mode c_mode."""
     dim = _dim(n_modes)
-    if not 0 <= mode < n_modes:
-        raise DimensionMismatchError(f"mode {mode} out of range for {n_modes} modes")
-    masks = np.arange(dim, dtype=np.uint64)
-    occ = ((masks >> np.uint64(mode)) & np.uint64(1)).astype(np.float64)
-    return np.diag(occ).astype(np.complex128)
+    rows, _ = _mode_entries(n_modes, mode, dagger=True)  # the masks that occupy ``mode``
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[rows, rows] = 1.0
+    return mat
 
 
 def parity_matrix(n_modes: int) -> np.ndarray:
@@ -497,11 +514,11 @@ class FockOperator:
                 f"operator on {self.n_modes} modes applied to {state.n_modes}-mode state"
             )
         out = self.matrix @ state.vector
-        nrm = float(np.linalg.norm(out))
-        if nrm <= TOL_ZERO:
+        weights = _sector_weights(out[None], state.n_modes)
+        if weights.sum() <= TOL_ZERO**2:
             raise ZeroNormError("operator annihilated the state")
-        parity = vector_parity(out, state.n_modes)
-        return FockState(n_modes=state.n_modes, vector=out, parity=parity)
+        parity = ("even", "odd")[_sector_parities(weights)[0]]
+        return FockState._weighed(state.n_modes, out, parity, weights[0])
 
 
 def expectation(state: FockState, matrix: np.ndarray) -> complex:

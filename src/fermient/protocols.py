@@ -87,6 +87,7 @@ from .fock import (
     TOL_ZERO,
     _dim,
     _is_unit_weight,
+    _mode_index,
     _mode_tables,
     apply_operator_string,
     vacuum_state,
@@ -327,6 +328,7 @@ def measure_branch(state: FockState, mode: int, outcome: int) -> MeasurementResu
     """Deterministically select one occupation branch of ``mode``."""
     if outcome not in (0, 1):
         raise ArgumentError("outcome must be 0 or 1")
+    mode = _mode_index(mode)
     if mode < 0 or mode >= state.n_modes:
         raise DimensionMismatchError(f"mode {mode} outside 0..{state.n_modes - 1}")
     vec = state.vector
@@ -349,9 +351,9 @@ def measure_occupation(
     rng: np.random.Generator | None = None,
 ) -> MeasurementResult:
     """Born-rule occupation measurement of one mode."""
+    occupied = ((np.arange(state.dim) >> _mode_index(mode)) & 1).astype(bool)
     if rng is None:
         rng = np.random.default_rng(seed)
-    occupied = ((np.arange(state.dim) >> mode) & 1).astype(bool)
     weights, total = _born_weights(state)
     p_occupied = float(np.sum(weights[occupied])) / total
     outcome = 1 if rng.random() < p_occupied else 0

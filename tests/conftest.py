@@ -58,6 +58,14 @@ def _oracle_apply(vector, n_modes: int, mode: int, create: bool) -> np.ndarray:
     return out
 
 
+def oracle_sector_weights(vector, n_modes: int) -> tuple[float, float]:
+    """Even and odd weight sum |v_m|^2 of ``vector``, summed mask by mask by popcount."""
+    weights = [0.0, 0.0]
+    for m in range(2**n_modes):
+        weights[slow_popcount(m) & 1] += abs(complex(vector[m])) ** 2
+    return weights[0], weights[1]
+
+
 def oracle_one_body(vector, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """rho[i, j] = <psi| cdag_j c_i |psi> and kappa[i, j] = <psi| c_j c_i |psi> on all 2^n masks.
 

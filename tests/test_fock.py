@@ -1,11 +1,19 @@
+import functools
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermient import (
     DimensionMismatchError,
+    FermionError,
     FockOperator,
     FockState,
     MixedParityError,
+    ModePartition,
     NotNormalizedError,
     OperatorPropertyError,
     WrongParityError,
@@ -20,7 +28,11 @@ from fermient import (
     random_state,
     vacuum_state,
 )
+from fermient import fock
+from fermient.entanglement import majorization_stack
 from fermient.fock import (
+    TOL_NORM,
+    TOL_ZERO,
     annihilation_matrix,
     creation_matrix,
     expectation,
@@ -28,7 +40,12 @@ from fermient.fock import (
     parity_matrix,
 )
 
-from conftest import oracle_annihilation_matrix, oracle_creation_matrix
+from conftest import (
+    oracle_annihilation_matrix,
+    oracle_creation_matrix,
+    oracle_sector_weights,
+    slow_popcount,
+)
 
 
 def test_creation_sign_prefix_rule():
@@ -136,7 +153,7 @@ def test_make_state_validation():
         make_state(2, {7: 1.0})
     with pytest.raises(DimensionMismatchError):
         make_state(2, [1.0, 0.0])
-    with pytest.raises(ZeroNormError):
+    with pytest.raises(NotNormalizedError, match=r"^state vector norm 0\.5 is not 1"):
         make_state(2, [0.5, 0.0, 0.0, 0.0], normalize=False)
 
 
@@ -317,3 +334,110 @@ def test_fock_state_rejects_non_finite_amplitudes(bad):
         FockState(1, [bad, 0.0], "even")
     with pytest.raises(NotNormalizedError):
         FockState(2, [0.0, bad, 1.0, 0.0], "odd")
+
+
+# ---------------------------------------------------------------------------
+# the one weigh per state
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _identity(n_modes):
+    return FockOperator(n_modes, np.eye(2**n_modes), "unitary")
+
+
+_STATE = random_state(4, parity="odd", seed=3)
+_CHUNK = np.stack([random_state(4, "even", seed=s).vector for s in range(3)])
+_PARTS = [ModePartition(4, (0, 1), (2, 3)), ModePartition(4, (0, 2), (1, 3))]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FockState(4, _STATE.vector, "odd"),
+        lambda: make_state(4, _STATE.vector),
+        lambda: basis_state(4, 0b0111),
+        lambda: _identity(4).apply(_STATE),
+        lambda: apply_creation(_STATE, 0),
+        lambda: random_state(4, seed=5),
+        lambda: majorization_stack(_CHUNK, _PARTS, first=0),
+    ],
+    ids=["FockState", "make_state", "basis_state", "apply", "apply_creation", "random_state",
+         "majorization_stack"],
+)
+def test_each_state_and_each_stack_is_weighed_once(build, monkeypatch):
+    calls = []
+    original = fock._sector_weights
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    bindings = [
+        (mod, attr) for key, mod in list(sys.modules.items())
+        if mod is not None and key.startswith("fermient")
+        for attr, value in list(vars(mod).items()) if value is original
+    ]
+    assert len(bindings) >= 2  # fock's own and entanglement's import
+    for mod, attr in bindings:
+        monkeypatch.setattr(mod, attr, counted)
+    build()
+    assert len(calls) == 1
+
+
+@st.composite
+def _weighed_vectors(draw):
+    """(n, vector, tag): odd share 0, 1/2, 1, or TOL_NORM-sized on either side, any scale;
+    or the zero vector, or a NaN entry."""
+    n = draw(st.integers(1, 8))
+    tag = draw(st.sampled_from(["even", "odd"]))
+    kind = draw(st.sampled_from(["drawn", "drawn", "drawn", "zero", "nan"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vector = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    if kind == "zero":
+        return n, np.zeros(2**n, dtype=complex), tag
+    if kind == "nan":
+        vector[draw(st.integers(0, 2**n - 1))] = np.nan
+        return n, vector, tag
+    near = st.floats(0.1, 10.0).filter(lambda f: abs(f - 1.0) > 1e-3).map(lambda f: TOL_NORM * f)
+    small = draw(st.sampled_from([0.0, 0.5]) | near)
+    odd_share = draw(st.sampled_from([small, 1.0 - small]))
+    odd = np.array([slow_popcount(m) & 1 for m in range(2**n)], dtype=bool)
+    vector[odd] *= math.sqrt(odd_share) / np.linalg.norm(vector[odd])
+    vector[~odd] *= math.sqrt(1.0 - odd_share) / np.linalg.norm(vector[~odd])
+    return n, vector * 10.0 ** draw(st.floats(-7.0, 3.0)), tag
+
+
+def _outcome(build):
+    """The parity tag ``build()`` returns, or the class of the FermionError it raises."""
+    try:
+        return build().parity
+    except FermionError as exc:
+        return type(exc)
+
+
+@given(_weighed_vectors())
+@settings(max_examples=150)
+def test_state_checks_match_a_popcount_weigh(case):
+    n, vector, tag = case
+    w_even, w_odd = oracle_sector_weights(vector, n)
+    total = w_even + w_odd
+    limit = TOL_NORM * total
+    # FockState: finite total, at most TOL_NORM of it outside the tagged sector
+    if not math.isfinite(total):
+        expected_state = NotNormalizedError
+    else:
+        expected_state = WrongParityError if (w_odd if tag == "even" else w_even) > limit else tag
+    # make_state and apply: the parity rule
+    if not math.isfinite(total):
+        expected_rule = NotNormalizedError
+    elif total <= TOL_ZERO**2:
+        expected_rule = ZeroNormError
+    elif w_even > limit and w_odd > limit:
+        expected_rule = MixedParityError
+    else:
+        expected_rule = "odd" if w_odd > limit else "even"
+    assert _outcome(lambda: FockState(n, vector, tag)) == expected_state
+    assert _outcome(lambda: make_state(n, vector)) == expected_rule
+    if expected_state == tag:
+        state = FockState(n, vector, tag)
+        assert _outcome(lambda: _identity(n).apply(state)) == expected_rule

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fermient import make_state, random_state
-from fermient.errors import StateFormatError, ZeroNormError
+from fermient.errors import NotNormalizedError, StateFormatError
 from fermient.io import dump_state, load_state, state_from_dict, state_to_dict
 
 
@@ -54,7 +54,7 @@ def test_normalize_flag():
     # default reads renormalize; strict mode insists the document is unit norm
     doc = {"n_modes": 1, "amplitudes": [{"mask": 1, "re": 2.0, "im": 0.0}]}
     assert abs(state_from_dict(doc).norm() - 1.0) < 1e-12
-    with pytest.raises(ZeroNormError):
+    with pytest.raises(NotNormalizedError):
         state_from_dict(doc, normalize=False)
 
 

@@ -9,6 +9,7 @@ import pytest
 from fermient import (
     FockOperator,
     FockState,
+    apply_creation,
     apply_operator_string,
     basis_state,
     make_state,
@@ -27,6 +28,7 @@ from fermient.errors import (
     UnknownStateError,
     ZeroNormError,
 )
+from fermient.fock import number_matrix
 from fermient.protocols import (
     MeasurementResult,
     QubitEncoding,
@@ -668,11 +670,19 @@ def test_protocols_act_only_through_operator_apply(monkeypatch):
         lambda: superdense_encode("1012"),
         lambda: superdense_encode("101", "psi11"),
         lambda: apply_operator_string(vacuum_state(2), [("flip", 0)]),
+        lambda: measure_branch(vacuum_state(2), 1.5, 0),
+        lambda: measure_occupation(vacuum_state(2), 1.5),
+        lambda: apply_creation(vacuum_state(2), 1.5),
+        lambda: number_matrix(2, 1.5),
+        lambda: make_state(2, {1.5: 1.0}),
+        lambda: make_state(2, {"1": 1.0}),
     ],
     ids=[
         "repeated-mode", "negative-mode", "encoding-kind", "pauli-axis", "rotation-weights",
         "cnot-kinds", "empty-parity-gate", "projector-outcome", "measure-outcome",
-        "teleport-kind", "sdc-message", "sdc-variant", "factor-kind",
+        "teleport-kind", "sdc-message", "sdc-variant", "factor-kind", "measure-float-mode",
+        "occupation-float-mode", "creation-float-mode", "number-float-mode",
+        "make-state-float-mask", "make-state-string-mask",
     ],
 )
 def test_bad_arguments_raise_argument_error_that_is_a_value_error(call):
