@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HermiticityDefectError
+from .errors import DimensionMismatchError, HermiticityDefectError
 from .fock import FockState, _mode_tables, _raise_first, _require_unit_norm, _sector_masks
 from .linalg import Spectrum, hermitian_eigensystem
 
@@ -47,7 +47,6 @@ __all__ = [
     "quadratic_term",
     "spectrum_entropy",
     "matrix_entropy",
-    "concurrence_from_spectrum",
 ]
 
 _EIG_TOL = 1e-9
@@ -76,12 +75,22 @@ def _check_one_body(rho: np.ndarray, kappa: np.ndarray, first: int | None = None
 @dataclass(frozen=True)
 class OneBodyDensity:
     """Normal and anomalous one-body contractions of a pure state; ``spectrum()`` holds
-    the occupations, descending, from the one diagonalization of the construction check."""
+    the occupations, descending, from the one diagonalization of the construction check.
+
+    Blocks that are not equal non-empty n x n squares raise DimensionMismatchError;
+    a non-Hermitian rho, a kappa that is not antisymmetric, or an occupation
+    outside [0, 1] raises HermiticityDefectError.
+    """
 
     rho: np.ndarray = field(repr=False)
     kappa: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        shape = np.shape(self.rho)
+        if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.kappa) != shape or not shape[0]:
+            raise DimensionMismatchError(
+                f"expected equal non-empty square blocks, got {shape} and {np.shape(self.kappa)}"
+            )
         values = _check_one_body(self.rho[None], self.kappa[None])[0].copy()
         self.rho.setflags(write=False)
         self.kappa.setflags(write=False)
@@ -253,12 +262,3 @@ def qsp_entropy(state: FockState, fn: Callable[[float], float] = von_neumann_ter
     The optional ``fn`` must be concave with f(0) = f(1) = 0.
     """
     return spectrum_entropy(extended_density(state).spectrum().values, fn)
-
-
-def concurrence_from_spectrum(state: FockState) -> float:
-    """C = 2 sqrt(f_+ f_-) read off the extended-matrix eigenvalues."""
-    values = extended_density(state).spectrum().values
-    f_plus = float(values[0])
-    f_minus = float(values[-1])
-    prod = max(f_plus * f_minus, 0.0)
-    return 2.0 * float(np.sqrt(prod))

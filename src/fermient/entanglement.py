@@ -20,7 +20,6 @@ from .correlations import (
     _elementwise,
     _extended_stack,
     _one_body_stack,
-    one_body,
     quadratic_term,
     spectrum_entropy,
     von_neumann_term,
@@ -36,6 +35,7 @@ from .errors import (
 from .fock import (
     FockState,
     _is_unit_weight,
+    _mode_count,
     _mode_index,
     _raise_first,
     _require_unit_norm,
@@ -84,12 +84,12 @@ class ModePartition:
         side_a: Iterable[int],
         side_b: Iterable[int] | None = None,
     ) -> None:
-        n_modes = _mode_index(n_modes)
-        a = tuple(_mode_index(m) for m in side_a)
+        n_modes = _mode_count(n_modes)
+        a = tuple(_mode_index(m, bound=n_modes) for m in side_a)
         if side_b is None:
             b = tuple(m for m in range(n_modes) if m not in a)
         else:
-            b = tuple(_mode_index(m) for m in side_b)
+            b = tuple(_mode_index(m, bound=n_modes) for m in side_b)
         if not a or not b:
             raise SideMismatchError("both sides must be non-empty")
         if len(set(a)) != len(a) or len(set(b)) != len(b) or set(a) & set(b):
@@ -445,18 +445,3 @@ def schmidt_concurrence(beta1, beta2, bt1, bt2) -> float:
     if not _is_unit_weight(norm):  # also rejects NaN
         raise NotNormalizedError(f"coefficient norm {norm!r} differs from 1")
     return min(2.0 * abs(beta1 * beta2 + bt1 * bt2), 1.0)
-
-
-def occupations_cross_check(state: FockState, part: ModePartition) -> float:
-    """Largest cross-side contraction; vanishes for fixed local parity."""
-    blocks = one_body(state)
-    worst = 0.0
-    for a in part.side_a:
-        for b in part.side_b:
-            worst = max(
-                worst,
-                abs(blocks.rho[a, b]),
-                abs(blocks.rho[b, a]),
-                abs(blocks.kappa[a, b]),
-            )
-    return worst

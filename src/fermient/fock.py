@@ -50,12 +50,33 @@ Parity = Literal["even", "odd"]
 _MAX_MODES = 12
 
 
-def _dim(n_modes: int) -> int:
-    if not 1 <= n_modes <= _MAX_MODES:
+def _mode_index(value, what: str = "mode", bound: int | None = None, low: int = 0) -> int:
+    """``value`` as an int in ``low``..``bound - 1`` (no upper limit when ``bound`` is None).
+
+    The one reader of modes, masks and mode counts: a bool, float, string, None
+    or other non-integer raises ArgumentError and an integer out of range
+    DimensionMismatchError, both naming ``what``.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        index = operator.index(value)
+    except TypeError:
+        raise ArgumentError(f"{what} {value!r} is not an integer") from None
+    if index < low or bound is not None and index >= bound:
         raise DimensionMismatchError(
-            f"n_modes must be between 1 and {_MAX_MODES}, got {n_modes}"
+            f"{what} {index} out of range {low}..{'' if bound is None else bound - 1}"
         )
-    return 1 << n_modes
+    return index
+
+
+def _mode_count(n_modes) -> int:
+    """``n_modes`` read as a mode count, 1..12."""
+    return _mode_index(n_modes, "mode count", _MAX_MODES + 1, low=1)
+
+
+def _dim(n_modes) -> int:
+    return 1 << _mode_count(n_modes)
 
 
 @functools.cache
@@ -211,14 +232,6 @@ def _is_unit_weight(weight):
     return np.abs(np.sqrt(np.maximum(weight, 0.0)) - 1.0) <= TOL_NORM
 
 
-def _mode_index(mode) -> int:
-    """``mode`` as an int; a float, string or other non-integer raises ArgumentError."""
-    try:
-        return operator.index(mode)
-    except TypeError:
-        raise ArgumentError(f"mode {mode!r} is not an integer") from None
-
-
 def make_state(
     n_modes: int,
     amplitudes: dict[int, complex] | Sequence[complex] | np.ndarray,
@@ -245,22 +258,19 @@ def make_state(
         Support straddles both parity sectors.
     NotNormalizedError
         An amplitude is NaN or infinite, or, with ``normalize`` false, the
-        norm is not 1 within TOL_NORM.
+        norm is not 1 within TOL_NORM. With ``normalize`` true, finite
+        amplitudes whose squares overflow are first divided by their largest
+        real or imaginary part.
     DimensionMismatchError
-        Mask out of range or wrong vector length.
+        Mode count outside 1..12, mask out of range or wrong vector length.
     ArgumentError
-        A dict mask that is not an integer.
+        A mode count or dict mask that is not an integer (a bool included).
     """
     dim = _dim(n_modes)
     vec = np.zeros(dim, dtype=np.complex128)
     if isinstance(amplitudes, dict):
         for mask, amp in amplitudes.items():
-            mask = _mode_index(mask)
-            if not 0 <= mask < dim:
-                raise DimensionMismatchError(
-                    f"mask {mask} out of range for {n_modes} modes"
-                )
-            vec[mask] = complex(amp)
+            vec[_mode_index(mask, "mask", dim)] = complex(amp)
     else:
         arr = np.asarray(amplitudes, dtype=np.complex128)
         if arr.shape != (dim,):
@@ -272,12 +282,18 @@ def make_state(
     non_finite = np.flatnonzero(~np.isfinite(vec))
     if non_finite.size:
         raise NotNormalizedError(f"amplitude of mask {non_finite[0]} is not finite")
-    weights = _sector_weights(vec[None], n_modes)
+    with np.errstate(over="ignore"):
+        weights = _sector_weights(vec[None], n_modes)
+    if normalize and not math.isfinite(weights.sum()):  # squares overflow: rescale first
+        vec = vec / np.max(np.abs(vec.view(np.float64)))  # largest part, which cannot overflow
+        weights = _sector_weights(vec[None], n_modes)
     if weights.sum() <= TOL_ZERO**2:
         raise ZeroNormError("state vector has zero norm")
-    nrm = float(np.linalg.norm(vec))
     if not (normalize or _is_unit_weight(weights.sum())):
-        raise NotNormalizedError(f"state vector norm {nrm!r} is not 1 within {TOL_NORM}")
+        raise NotNormalizedError(
+            f"state vector norm {math.sqrt(weights.sum())!r} is not 1 within {TOL_NORM}"
+        )
+    nrm = float(np.linalg.norm(vec))
     parity = ("even", "odd")[_sector_parities(weights)[0]]
     if normalize:
         vec, weights = vec / nrm, weights / nrm**2
@@ -322,10 +338,7 @@ def _mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _mode_entries(n_modes: int, mode: int, dagger: bool) -> tuple[np.ndarray, np.ndarray]:
     """(rows, sign) of c_mode or cdag_mode, which moves the amplitude at
     ``rows ^ (1 << mode)`` to ``rows`` with factor ``sign``."""
-    mode = _mode_index(mode)
-    if not 0 <= mode < n_modes:
-        raise DimensionMismatchError(f"mode {mode} out of range for {n_modes} modes")
-    coef = _mode_tables(n_modes)[dagger][mode]
+    coef = _mode_tables(n_modes)[dagger][_mode_index(mode, bound=n_modes)]
     rows = np.flatnonzero(coef)
     return rows, coef[rows]
 
@@ -521,12 +534,6 @@ class FockOperator:
         return FockState._weighed(state.n_modes, out, parity, weights[0])
 
 
-def expectation(state: FockState, matrix: np.ndarray) -> complex:
-    """<psi| M |psi> / <psi|psi> for a dense matrix M."""
-    v = state.vector
-    return complex(np.vdot(v, matrix @ v) / np.vdot(v, v))
-
-
 def inner_product(a: FockState, b: FockState) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     return a.overlap(b)
@@ -549,11 +556,13 @@ def random_state(
     picks even or odd with equal probability. Pass either ``seed`` or an
     existing ``rng``.
     """
+    dim = _dim(n_modes)
+    if parity not in (None, "even", "odd"):
+        raise WrongParityError(f"parity tag must be 'even' or 'odd', got {parity!r}")
     if rng is None:
         rng = np.random.default_rng(seed)
     if parity is None:
         parity = "even" if rng.integers(2) == 0 else "odd"
-    dim = _dim(n_modes)
     vec = np.zeros(dim, dtype=np.complex128)
     sector = _sector_masks(n_modes)[0 if parity == "even" else 1]
     vec[sector] = rng.normal(size=sector.size) + 1j * rng.normal(size=sector.size)

@@ -16,8 +16,8 @@ import math
 from pathlib import Path
 from typing import Any
 
-from .errors import StateFormatError
-from .fock import FockState, make_state
+from .errors import FermionError, StateFormatError
+from .fock import FockState, _dim, _mode_index, make_state
 
 __all__ = ["state_to_dict", "state_from_dict", "dump_state", "load_state"]
 
@@ -40,11 +40,12 @@ def state_from_dict(doc: Any, normalize: bool = True) -> FockState:
         entries = doc["amplitudes"]
     except (KeyError, TypeError) as exc:
         raise StateFormatError(f"missing required key: {exc}") from exc
-    if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
-        raise StateFormatError(f"n_modes must be a positive integer, got {n_modes!r}")
+    try:
+        dim = _dim(n_modes)
+    except FermionError as exc:
+        raise StateFormatError(f"n_modes: {exc}") from None
     if not isinstance(entries, list):
         raise StateFormatError("amplitudes must be a list")
-    dim = 1 << n_modes
     amplitudes: dict[int, complex] = {}
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -55,12 +56,10 @@ def state_from_dict(doc: Any, normalize: bool = True) -> FockState:
             im = entry["im"]
         except (KeyError, TypeError) as exc:
             raise StateFormatError(f"amplitude #{pos} missing key: {exc}") from exc
-        if not isinstance(mask, int) or isinstance(mask, bool):
-            raise StateFormatError(f"amplitude #{pos}: mask must be an integer")
-        if not 0 <= mask < dim:
-            raise StateFormatError(
-                f"amplitude #{pos}: mask {mask} outside [0, {dim}) for {n_modes} modes"
-            )
+        try:
+            _mode_index(mask, "mask", dim)
+        except FermionError as exc:
+            raise StateFormatError(f"amplitude #{pos}: {exc}") from None
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
             raise StateFormatError(f"amplitude #{pos}: re/im must be numbers")
         try:

@@ -65,6 +65,7 @@ is applied as its factors, the CNOT first and then the Hadamard.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -85,8 +86,8 @@ from .fock import (
     FockOperator,
     FockState,
     TOL_ZERO,
-    _dim,
     _is_unit_weight,
+    _mode_count,
     _mode_index,
     _mode_tables,
     apply_operator_string,
@@ -109,11 +110,9 @@ class QubitEncoding:
     kind: Kind
 
     def __post_init__(self) -> None:
-        i, j = self.pair
+        i, j = (_mode_index(m) for m in self.pair)
         if i == j:
             raise ArgumentError("encoding modes must be distinct")
-        if i < 0 or j < 0:
-            raise ArgumentError("encoding modes must be non-negative")
         if self.kind not in ("odd", "even"):
             raise ArgumentError(f"unknown encoding kind {self.kind!r}")
 
@@ -127,13 +126,11 @@ class QubitEncoding:
 
 
 def _ambient_modes(n_modes: int | None, *mode_groups: tuple[int, ...]) -> int:
-    """Mode count of the operator's Fock space, checked before anything is allocated."""
-    modes = [m for group in mode_groups for m in group]
-    n = max(modes) + 1 if n_modes is None else n_modes
-    outside = [m for m in modes if not 0 <= m < n]
-    if outside:
-        raise DimensionMismatchError(f"mode {outside[0]} does not fit in {n} modes")
-    _dim(n)
+    """Mode count of the operator's Fock space, every mode checked to fit before any allocation."""
+    modes = [_mode_index(m) for group in mode_groups for m in group]
+    n = _mode_count(max(modes) + 1 if n_modes is None else n_modes)
+    for m in modes:
+        _mode_index(m, bound=n)
     return n
 
 
@@ -280,13 +277,11 @@ def cnot(
 
 def parity_gate(modes: tuple[int, ...], n_modes: int | None = None) -> FockOperator:
     """Local parity gate -exp(i pi N_side): -1 on even local parity, +1 on odd."""
-    side = tuple(sorted(set(int(m) for m in modes)))
+    side = {_mode_index(m) for m in modes}
     if not side:
         raise ArgumentError("parity gate needs a non-empty mode set")
     n = _ambient_modes(n_modes, side)
-    side_mask = 0
-    for m in side:
-        side_mask |= 1 << m
+    side_mask = sum(1 << m for m in side)
     masks = np.arange(1 << n)
     local = np.bitwise_count(masks & side_mask)
     return FockOperator._from_blocks(n, "unitary", np.where(local % 2 == 0, -1.0, 1.0))
@@ -306,13 +301,17 @@ def occupation_projector(mode: int, outcome: int, n_modes: int) -> FockOperator:
 # occupation measurements
 # ---------------------------------------------------------------------------
 
-def _born_weights(state: FockState) -> tuple[np.ndarray, float]:
-    """|amplitude|^2 per basis mask and their total; the zero state has no Born rule."""
+def _born_weights(state: FockState, mode) -> tuple[np.ndarray, np.ndarray, float]:
+    """Masks that occupy ``mode``, |amplitude|^2 per mask and their total.
+
+    The mode is checked first, then the state: the zero state has no Born rule.
+    """
+    occupied = ((np.arange(state.dim) >> _mode_index(mode, bound=state.n_modes)) & 1).astype(bool)
     weights = np.abs(state.vector) ** 2
     total = float(np.sum(weights))
     if total <= TOL_ZERO**2:
         raise ZeroNormError("cannot measure the zero state")
-    return weights, total
+    return occupied, weights, total
 
 
 @dataclass(frozen=True)
@@ -328,19 +327,14 @@ def measure_branch(state: FockState, mode: int, outcome: int) -> MeasurementResu
     """Deterministically select one occupation branch of ``mode``."""
     if outcome not in (0, 1):
         raise ArgumentError("outcome must be 0 or 1")
-    mode = _mode_index(mode)
-    if mode < 0 or mode >= state.n_modes:
-        raise DimensionMismatchError(f"mode {mode} outside 0..{state.n_modes - 1}")
-    vec = state.vector
-    occupied = ((np.arange(state.dim) >> mode) & 1).astype(bool)
+    occupied, weights, total = _born_weights(state, mode)
     keep = occupied if outcome else ~occupied
-    weights, total = _born_weights(state)
     prob = float(np.sum(weights[keep])) / total
     if prob < TOL_ZERO:
         raise ImpossibleBranchError(
             f"occupation {outcome} of mode {mode} has probability {prob:.3e}"
         )
-    post = np.where(keep, vec, 0.0) / math.sqrt(prob * total)
+    post = np.where(keep, state.vector, 0.0) / math.sqrt(prob * total)
     return MeasurementResult(outcome, prob, FockState(state.n_modes, post, state.parity))
 
 
@@ -351,10 +345,9 @@ def measure_occupation(
     rng: np.random.Generator | None = None,
 ) -> MeasurementResult:
     """Born-rule occupation measurement of one mode."""
-    occupied = ((np.arange(state.dim) >> _mode_index(mode)) & 1).astype(bool)
+    occupied, weights, total = _born_weights(state, mode)
     if rng is None:
         rng = np.random.default_rng(seed)
-    weights, total = _born_weights(state)
     p_occupied = float(np.sum(weights[occupied])) / total
     outcome = 1 if rng.random() < p_occupied else 0
     return measure_branch(state, mode, outcome)
@@ -371,20 +364,17 @@ _BOB_PAIR = (4, 5)
 
 _HALF = math.pi / 2.0
 
-_TELEPORT_GATES: dict[str, tuple[FockOperator, ...]] = {}
 
-
+@functools.cache
 def _teleport_gates(kind: Kind) -> tuple[FockOperator, ...]:
     """The circuit's CNOT and Hadamard, then Bob's X and Z fixes i exp(-i pi/2 sigma)."""
-    if kind not in _TELEPORT_GATES:
-        ctrl = QubitEncoding(_CONTROL_PAIR, kind)
-        _TELEPORT_GATES[kind] = (
-            cnot(ctrl, QubitEncoding(_TARGET_PAIR, kind), _TELEPORT_MODES),
-            hadamard(ctrl, _TELEPORT_MODES),
-            _dictionary_exp(_BOB_PAIR, (kind,), _TELEPORT_MODES, (-_HALF, 0.0, 0.0), 1j),
-            _dictionary_exp(_BOB_PAIR, (kind,), _TELEPORT_MODES, (0.0, 0.0, -_HALF), 1j),
-        )
-    return _TELEPORT_GATES[kind]
+    ctrl = QubitEncoding(_CONTROL_PAIR, kind)
+    return (
+        cnot(ctrl, QubitEncoding(_TARGET_PAIR, kind), _TELEPORT_MODES),
+        hadamard(ctrl, _TELEPORT_MODES),
+        _dictionary_exp(_BOB_PAIR, (kind,), _TELEPORT_MODES, (-_HALF, 0.0, 0.0), 1j),
+        _dictionary_exp(_BOB_PAIR, (kind,), _TELEPORT_MODES, (0.0, 0.0, -_HALF), 1j),
+    )
 
 
 def _teleport_input(alpha: complex, beta: complex, kind: Kind) -> FockState:
@@ -510,10 +500,6 @@ _SDC_OPERATIONS = {
     "11": ((0.0, -_HALF, 0.0), -1.0),
 }
 
-#: Alice's operations, built on first use: one per first two bits, and "parity" for the third
-_SDC_UNITARIES: dict[str, FockOperator] = {}
-_SDC_CODES: dict[str, tuple[tuple[str, np.ndarray], ...]] = {}
-
 
 def _sdc_seed(variant: str) -> FockState:
     vac = vacuum_state(_SDC_MODES)
@@ -531,14 +517,13 @@ def _sdc_seed(variant: str) -> FockState:
     return FockState(_SDC_MODES, (bell + tilde) / 2.0, "even")
 
 
+@functools.cache
 def _sdc_unitary(key: str) -> FockOperator:
-    if key not in _SDC_UNITARIES:
-        if key == "parity":
-            _SDC_UNITARIES[key] = parity_gate(_ALICE_PAIR, _SDC_MODES)
-        else:
-            weights, phase = _SDC_OPERATIONS[key]
-            _SDC_UNITARIES[key] = _dictionary_exp(_ALICE_PAIR, _KINDS, _SDC_MODES, weights, phase)
-    return _SDC_UNITARIES[key]
+    """Alice's operation, built on first use: one per first two bits, and "parity" for the third."""
+    if key == "parity":
+        return parity_gate(_ALICE_PAIR, _SDC_MODES)
+    weights, phase = _SDC_OPERATIONS[key]
+    return _dictionary_exp(_ALICE_PAIR, _KINDS, _SDC_MODES, weights, phase)
 
 
 def superdense_encode(message: str, variant: str = "psi00") -> FockState:
@@ -559,13 +544,9 @@ def superdense_encode(message: str, variant: str = "psi00") -> FockState:
     return state
 
 
+@functools.cache
 def _code_family(variant: str) -> tuple[tuple[str, np.ndarray], ...]:
-    if variant not in _SDC_CODES:
-        _SDC_CODES[variant] = tuple(
-            (message, superdense_encode(message, variant).vector)
-            for message in _SDC_MESSAGES
-        )
-    return _SDC_CODES[variant]
+    return tuple((message, superdense_encode(message, variant).vector) for message in _SDC_MESSAGES)
 
 
 def superdense_decode(state: FockState, variant: str = "psi00") -> str:

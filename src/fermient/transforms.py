@@ -50,6 +50,7 @@ from .fock import (
     _defect,
     _dim,
     _is_unit_weight,
+    _mode_count,
     _mode_index,
     _mode_tables,
     _require_unit_norm,
@@ -129,16 +130,15 @@ def validate_bogoliubov(U: np.ndarray, V: np.ndarray) -> BogoliubovMap:
 
 
 def identity_map(n_modes: int) -> BogoliubovMap:
-    return validate_bogoliubov(np.eye(n_modes), np.zeros((n_modes, n_modes)))
+    n = _mode_count(n_modes)
+    return validate_bogoliubov(np.eye(n), np.zeros((n, n)))
 
 
 def particle_hole_map(n_modes: int, modes: Iterable[int]) -> BogoliubovMap:
     """Map with a_i = cdag_i on the listed modes and a_i = c_i elsewhere."""
-    sel = np.zeros(n_modes)
-    for m in map(_mode_index, modes):
-        if not 0 <= m < n_modes:
-            raise DimensionMismatchError(f"mode {m} out of range")
-        sel[m] = 1.0
+    n = _mode_count(n_modes)
+    sel = np.zeros(n)
+    sel[[_mode_index(m, bound=n) for m in modes]] = 1.0
     return validate_bogoliubov(np.diag(1.0 - sel), np.diag(sel))
 
 
@@ -152,6 +152,7 @@ def random_bogoliubov(
     rng: np.random.Generator | None = None,
 ) -> BogoliubovMap:
     """Random valid map, as the exponential of a random structured generator."""
+    n_modes = _mode_count(n_modes)
     if rng is None:
         rng = np.random.default_rng(seed)
     x = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
@@ -217,11 +218,11 @@ def lift_to_fock(bmap: BogoliubovMap, n_modes: int) -> FockOperator:
     annihilator product has no column of the expected norm or a check fails,
     and OperatorPropertyError if unitarity misses TOL_NORM alone.
     """
+    dim = _dim(n_modes)
     if bmap.n_modes != n_modes:
         raise DimensionMismatchError(
             f"map on {bmap.n_modes} modes does not match n_modes={n_modes}"
         )
-    dim = _dim(n_modes)
     # the (n, 2^n, 2^n) stack of a_i, the columns, and at most four more
     # complex 2^n x 2^n arrays alive at once (the annihilator product and its
     # next factor, or the Gram matrix or a conjugation residual with temporaries)

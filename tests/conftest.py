@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fermient import compose, lift_to_fock, make_state, particle_hole_map, random_bogoliubov
+from fermient import (
+    compose,
+    extended_density,
+    lift_to_fock,
+    make_state,
+    one_body,
+    particle_hole_map,
+    random_bogoliubov,
+)
 from fermient.fock import TOL_ZERO, annihilation_matrix, creation_matrix, number_matrix
 
 # property tests draw the same examples on every run, so tier-1 stays deterministic
@@ -56,6 +64,61 @@ def _oracle_apply(vector, n_modes: int, mode: int, create: bool) -> np.ndarray:
     out = np.zeros(2**n_modes, dtype=complex)
     out[source ^ bit] = (-1.0) ** _popcounts(n_modes)[source & (bit - 1)] * vector[source]
     return out
+
+
+def oracle_creator(vector, n_modes: int, column) -> np.ndarray:
+    """b^dag v for b^dag = sum_j column[j] cdag_j, each cdag_j applied by the bit rule."""
+    return sum(column[j] * _oracle_apply(vector, n_modes, j, create=True) for j in range(n_modes))
+
+
+def bloch_messiah_state(n_modes: int, odd: bool, rng):
+    """A random Gaussian pure state and its one-body blocks in closed form (Bloch-Messiah).
+
+    With a Haar unitary U0 and b^dag_k = sum_j U0[j, k] cdag_j the state is
+    prod_{k < P} (cos t_k + e^{i f_k} sin t_k b^dag_{2k} b^dag_{2k+1}) |0>,
+    P = (n - odd) // 2, with b^dag_{2P} applied too when ``odd`` (Bloch & Messiah,
+    Nucl. Phys. 39, 95, 1962; Ring & Schuck ch. 7). In the b modes <b^dag_q b_p>
+    is diagonal, sin^2 t_k on both modes of pair k and 1 on the odd mode, and
+    <b_{2k+1} b_{2k}> = -<b_{2k} b_{2k+1}> = e^{i f_k} sin t_k cos t_k; with
+    c = U0 b this gives rho[i, j] = <cdag_j c_i> and kappa[i, j] = <c_j c_i>.
+    Returns (vector, rho, kappa); the vector is built from the creators alone.
+    """
+    n = n_modes
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    u0 = q * (np.diag(r) / np.abs(np.diag(r)))
+    vector = np.zeros(2**n, dtype=complex)
+    vector[0] = 1.0
+    occupation = np.zeros(n)
+    pairing = np.zeros((n, n), dtype=complex)
+    pairs = (n - odd) // 2
+    for k in range(pairs):
+        t, f = rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 2 * math.pi)
+        pair = oracle_creator(oracle_creator(vector, n, u0[:, 2 * k + 1]), n, u0[:, 2 * k])
+        vector = math.cos(t) * vector + np.exp(1j * f) * math.sin(t) * pair
+        occupation[2 * k : 2 * k + 2] = math.sin(t) ** 2
+        pairing[2 * k, 2 * k + 1] = np.exp(1j * f) * math.sin(t) * math.cos(t)
+        pairing[2 * k + 1, 2 * k] = -pairing[2 * k, 2 * k + 1]
+    if odd:
+        vector = oracle_creator(vector, n, u0[:, 2 * pairs])
+        occupation[2 * pairs] = 1.0
+    return vector, u0 @ np.diag(occupation) @ u0.conj().T, u0 @ pairing @ u0.T
+
+
+def peschel_spectrum(rho, kappa, side) -> np.ndarray:
+    """Spectrum, descending, of the reduced state on the modes ``side`` of a Gaussian state.
+
+    Peschel (J. Phys. A 36, L205, 2003): the reduced state is Gaussian with the
+    restricted blocks, so with nu_k the upper half of the eigenvalues of the
+    restricted 2|A| x 2|A| extended matrix its spectrum is every product of
+    nu_k or 1 - nu_k, one factor per k.
+    """
+    m = len(side)
+    r, k = rho[np.ix_(side, side)], kappa[np.ix_(side, side)]
+    nu = np.linalg.eigvalsh(np.block([[r, k], [-k.conj(), np.eye(m) - r.conj()]]))[m:]
+    spectrum = np.ones(1)
+    for x in nu:
+        spectrum = np.concatenate([spectrum * x, spectrum * (1.0 - x)])
+    return np.sort(spectrum)[::-1]
 
 
 def oracle_sector_weights(vector, n_modes: int) -> tuple[float, float]:
@@ -228,3 +291,26 @@ def paired_image(f_plus, parity, rng):
         bmap = compose(particle_hole_map(4, {int(rng.integers(4))}), bmap)
     base = make_state(4, {0b0011: math.sqrt(f_plus), 0b1100: math.sqrt(1.0 - f_plus)})
     return lift_to_fock(bmap, 4).apply(base)
+
+
+def expectation(state, matrix: np.ndarray) -> complex:
+    """<psi| M |psi> / <psi|psi> for a dense matrix M."""
+    v = state.vector
+    return complex(np.vdot(v, matrix @ v) / np.vdot(v, v))
+
+
+def occupations_cross_check(state, part) -> float:
+    """Largest cross-side contraction |rho[a, b]|, |rho[b, a]|, |kappa[a, b]|; it vanishes
+    for fixed local parity."""
+    blocks = one_body(state)
+    return max(
+        max(abs(blocks.rho[a, b]), abs(blocks.rho[b, a]), abs(blocks.kappa[a, b]))
+        for a in part.side_a
+        for b in part.side_b
+    )
+
+
+def concurrence_from_spectrum(state) -> float:
+    """C = 2 sqrt(f_+ f_-) read off the extended-matrix eigenvalues."""
+    values = extended_density(state).spectrum().values
+    return 2.0 * math.sqrt(max(float(values[0]) * float(values[-1]), 0.0))

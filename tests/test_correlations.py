@@ -3,10 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fermient import basis_state, make_state, random_state, vacuum_state
+from fermient import (
+    DimensionMismatchError,
+    HermiticityDefectError,
+    OneBodyDensity,
+    basis_state,
+    make_state,
+    random_state,
+    vacuum_state,
+)
 from fermient.correlations import (
     binary_entropy,
-    concurrence_from_spectrum,
     extended_density,
     matrix_entropy,
     one_body,
@@ -17,7 +24,7 @@ from fermient.correlations import (
     von_neumann_term,
 )
 
-from conftest import oracle_annihilation_matrix, oracle_creation_matrix
+from conftest import concurrence_from_spectrum, oracle_annihilation_matrix, oracle_creation_matrix
 
 
 def oracle_blocks(state):
@@ -205,3 +212,41 @@ def test_qsp_below_sp_with_equality_iff_no_pairing(rng):
     two_masks = [m for m in range(16) if bin(m).count("1") == 2]
     st = make_state(4, {m: complex(rng.normal(), rng.normal()) for m in two_masks})
     assert qsp_entropy(st) == pytest.approx(sp_entropy(st), abs=1e-9)
+
+
+def _valid_blocks():
+    ob = one_body(random_state(3, "even", seed=5))
+    return ob.rho.copy(), ob.kappa.copy()
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("rho-not-hermitian", "one-body matrix is not Hermitian"),
+    ("kappa-not-antisymmetric", "pair matrix is not antisymmetric"),
+    ("occupation-above-one", r"occupation eigenvalues outside \[0,1\]"),
+    ("occupation-below-zero", r"occupation eigenvalues outside \[0,1\]"),
+])
+def test_one_body_density_rejects_defective_blocks(defect, message):
+    rho, kappa = _valid_blocks()
+    if defect == "rho-not-hermitian":
+        rho[0, 1] += 1e-6
+    elif defect == "kappa-not-antisymmetric":
+        kappa[0, 1] += 1e-6
+    elif defect == "occupation-above-one":
+        rho += 1.5 * np.eye(3)
+    else:
+        rho -= 1.5 * np.eye(3)
+    with pytest.raises(HermiticityDefectError, match=message):
+        OneBodyDensity(rho=rho, kappa=kappa)
+    assert OneBodyDensity(*_valid_blocks()).n_modes == 3
+
+
+@pytest.mark.parametrize("rho, kappa", [
+    (np.zeros(3), np.zeros(3)),
+    (np.zeros((3, 2)), np.zeros((3, 2))),
+    (np.zeros((3, 3)), np.zeros((2, 2))),
+    (np.zeros((2, 2, 2)), np.zeros((2, 2, 2))),
+    (np.zeros((0, 0)), np.zeros((0, 0))),
+], ids=["1-d", "not-square", "unequal", "3-d", "empty"])
+def test_one_body_density_rejects_blocks_that_are_not_equal_squares(rho, kappa):
+    with pytest.raises(DimensionMismatchError, match="expected equal non-empty square blocks"):
+        OneBodyDensity(rho=rho, kappa=kappa)

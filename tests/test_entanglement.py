@@ -5,7 +5,6 @@ import pytest
 
 from fermient import basis_state, make_state, random_state, vacuum_state
 from fermient.correlations import (
-    concurrence_from_spectrum,
     extended_density,
     matrix_entropy,
     one_body,
@@ -23,7 +22,6 @@ from fermient.entanglement import (
     concurrence_odd,
     local_parity_split,
     majorization_check,
-    occupations_cross_check,
     reduced_state,
     schmidt_concurrence,
 )
@@ -48,7 +46,7 @@ from fermient.transforms import (
     validate_bogoliubov,
 )
 
-from conftest import oracle_reduced
+from conftest import concurrence_from_spectrum, occupations_cross_check, oracle_reduced
 
 
 PSI_00 = {0b0101: 0.5, 0b1010: 0.5, 0b0000: 0.5, 0b1111: 0.5}

@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -35,12 +36,12 @@ from fermient.fock import (
     TOL_ZERO,
     annihilation_matrix,
     creation_matrix,
-    expectation,
     number_matrix,
     parity_matrix,
 )
 
 from conftest import (
+    expectation,
     oracle_annihilation_matrix,
     oracle_creation_matrix,
     oracle_sector_weights,
@@ -248,6 +249,19 @@ def test_make_state_rejects_non_finite_amplitudes(bad):
         make_state(2, {0: 1.0, 2: bad})
     with pytest.raises(NotNormalizedError, match="mask 2"):
         make_state(2, [1.0, 0.0, bad, 0.0])
+
+
+def test_make_state_rescales_amplitudes_whose_squares_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is expected and handled, not reported
+        assert np.array_equal(make_state(1, [1e200, 0]).vector, [1, 0])
+        with pytest.raises(MixedParityError):
+            make_state(1, [1e200, 1e200])
+        state = make_state(2, {0: 3e300, 3: 4e300j})
+        # without normalization the norm is read as it is, and it is not 1
+        with pytest.raises(NotNormalizedError, match="norm inf"):
+            make_state(1, [1e200, 0], normalize=False)
+    assert np.allclose(state.vector, [0.6, 0, 0, 0.8j], rtol=0, atol=1e-15)
 
 
 def test_fock_state_freezes_a_private_copy():

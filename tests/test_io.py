@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,8 @@ def test_normalize_flag():
     {"n_modes": 2, "amplitudes": [{"mask": 1, "re": 1.0}]},
     {"n_modes": 2, "amplitudes": [{"mask": 1, "re": 1.0, "im": 0.0},
                                   {"mask": 1, "re": 0.5, "im": 0.0}]},
+    {"n_modes": 2, "amplitudes": [{"mask": 1.0, "re": 1.0, "im": 0.0}]},
+    {"n_modes": 2, "amplitudes": [{"mask": True, "re": 1.0, "im": 0.0}]},
 ])
 def test_malformed_documents_rejected(doc):
     with pytest.raises(StateFormatError):
@@ -95,3 +98,20 @@ def test_non_finite_amplitudes_rejected(field, value):
     doc = {"n_modes": 2, "amplitudes": [{"mask": 1, "re": 0.8, "im": 0.0}, entry]}
     with pytest.raises(StateFormatError, match=r"amplitude #1 \(mask 2\)"):
         state_from_dict(doc)
+
+
+@pytest.mark.parametrize("n_modes, message", [
+    (13, "n_modes: mode count 13 out of range 1..12"),
+    (10**10, "n_modes: mode count 10000000000 out of range 1..12"),
+    (4.0, "n_modes: mode count 4.0 is not an integer"),
+])
+def test_mode_count_is_read_before_the_space_is_sized(n_modes, message):
+    doc = {"n_modes": n_modes, "amplitudes": [{"mask": 0, "re": 1.0, "im": 0.0}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateFormatError, match=f"^{message}$"):
+            state_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -41,6 +41,7 @@ from fermient import (
 from fermient.correlations import (
     binary_entropy,
     one_body,
+    qsp_entropy,
     quadratic_term,
     sp_entropy,
     von_neumann_term,
@@ -67,6 +68,7 @@ from fermient.protocols import (
 from fermient.transforms import normal_form
 
 from conftest import (
+    bloch_messiah_state,
     oracle_annihilation_matrix,
     oracle_bilinear_even,
     oracle_bilinear_odd,
@@ -81,6 +83,7 @@ from conftest import (
     oracle_reduced,
     oracle_rotation,
     paired_image,
+    peschel_spectrum,
 )
 
 _GOLDEN = Path(__file__).parent / "golden"
@@ -155,6 +158,42 @@ def test_partial_trace_on_shuffled_partitions(n, parity, seed, data):
         batch = majorization_stack(state.vector[None], [part])
         assert np.array_equal(batch.spectra[0][0], spec_a[0])
         assert batch.values["von_neumann"][0, 0] == entropy[0]
+
+
+@settings(max_examples=25)
+@given(
+    n=st.integers(2, 12),
+    odd=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    perm=st.permutations(range(12)),
+    k_raw=st.integers(0, 11),
+)
+@example(n=12, odd=False, seed=1, perm=tuple(range(12)), k_raw=5)
+@example(n=12, odd=True, seed=2, perm=tuple(range(0, 12, 2)) + tuple(range(1, 12, 2)), k_raw=2)
+def test_partial_trace_matches_the_gaussian_oracle(n, odd, seed, perm, k_raw):
+    """The sign-dressed partial trace of a Bloch-Messiah state against Peschel's formula.
+
+    Built from the creators alone, the state's reduced spectra come in closed
+    form from its one-body blocks, with no partial trace; sides hold at most
+    8 modes, so every reduced matrix is at most 256 x 256.
+    """
+    vector, rho, kappa = bloch_messiah_state(n, odd, np.random.default_rng(seed))
+    state = FockState(n, vector, "odd" if odd else "even")
+    low, high = max(1, n - 8), min(n - 1, 8)
+    k = low + k_raw % (high - low + 1)
+    order = [m for m in perm if m < n]
+    part = ModePartition(n, order[:k], order[k:])
+    want_a = peschel_spectrum(rho, kappa, list(part.side_a))
+    want_b = peschel_spectrum(rho, kappa, list(part.side_b))
+
+    spec_a, spec_b = entanglement._side_spectra(state.vector[None], part)
+    assert np.max(np.abs(spec_a[0] - want_a)) <= 1e-12
+    assert np.max(np.abs(spec_b[0] - want_b)) <= 1e-12
+    assert np.max(np.abs(reduced_state(state, part, "a").spectrum() - want_a)) <= 1e-12
+    assert np.max(np.abs(reduced_state(state, part, "b").spectrum() - want_b)) <= 1e-12
+    assert abs(bipartite_entropy(state, part) - oracle_entropies(want_a)[0]) <= 1e-12
+    # a Gaussian state is a quasiparticle vacuum: its extended spectrum is 0s and 1s
+    assert qsp_entropy(state) <= 1e-10
 
 
 def _counting(calls: list, fn):

@@ -1,11 +1,13 @@
 """Pair-encoded qubits, gates, measurements, teleportation, superdense coding."""
 
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import fermient
 from fermient import (
     FockOperator,
     FockState,
@@ -616,13 +618,13 @@ def test_cached_gate_arrays_are_read_only():
     cached = []
     for kind in ("odd", "even"):
         run_teleportation((0.6, 0.8), kind)
-        assert len(protocols._TELEPORT_GATES[kind]) == 4
-        cached += protocols._TELEPORT_GATES[kind]
+        assert len(protocols._teleport_gates(kind)) == 4
+        cached += protocols._teleport_gates(kind)
     for message in protocols._SDC_MESSAGES:
         superdense_encode(message)
     # "00" applies nothing, so it caches nothing; the third bit's parity gate is cached too
-    assert set(protocols._SDC_UNITARIES) == {"01", "10", "11", "parity"}
-    cached += protocols._SDC_UNITARIES.values()
+    assert protocols._sdc_unitary.cache_info().currsize == 4
+    cached += [protocols._sdc_unitary(key) for key in ("01", "10", "11", "parity")]
     for gate in cached:
         assert isinstance(gate, FockOperator)
         assert gate.kind == "unitary"
@@ -642,7 +644,7 @@ def test_protocols_act_only_through_operator_apply(monkeypatch):
     for kind in ("odd", "even"):
         calls.clear()
         run_teleportation((0.6, 0.8), kind)
-        cnot_gate, hadamard_gate, x_fix, z_fix = protocols._TELEPORT_GATES[kind]
+        cnot_gate, hadamard_gate, x_fix, z_fix = protocols._teleport_gates(kind)
         # the circuit, CNOT first, then the X fix on two branches and the Z fix on two
         assert len(calls) == 6
         assert calls[0] is cnot_gate and calls[1] is hadamard_gate
@@ -651,14 +653,13 @@ def test_protocols_act_only_through_operator_apply(monkeypatch):
     superdense_encode("111")
     # the cached "11" operation, then the parity gate
     assert len(calls) == 2
-    assert calls[0] is protocols._SDC_UNITARIES["11"]
+    assert calls[0] is protocols._sdc_unitary("11")
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: QubitEncoding((1, 1), "odd"),
-        lambda: QubitEncoding((-1, 2), "odd"),
         lambda: QubitEncoding((0, 1), "weird"),
         lambda: pauli(QubitEncoding((0, 1), "odd"), "w", 2),
         lambda: rotation(QubitEncoding((0, 1), "odd"), (math.nan, 0.0, 0.0), 2),
@@ -678,7 +679,7 @@ def test_protocols_act_only_through_operator_apply(monkeypatch):
         lambda: make_state(2, {"1": 1.0}),
     ],
     ids=[
-        "repeated-mode", "negative-mode", "encoding-kind", "pauli-axis", "rotation-weights",
+        "repeated-mode", "encoding-kind", "pauli-axis", "rotation-weights",
         "cnot-kinds", "empty-parity-gate", "projector-outcome", "measure-outcome",
         "teleport-kind", "sdc-message", "sdc-variant", "factor-kind", "measure-float-mode",
         "occupation-float-mode", "creation-float-mode", "number-float-mode",
@@ -776,3 +777,98 @@ def test_out_of_range_modes_raise_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# the integer rule: every mode, mask, pair entry, mode set and mode count
+# ---------------------------------------------------------------------------
+
+_VAC2 = vacuum_state(2)
+_MAP2 = fermient.identity_map(2)
+_ENC01, _ENC23 = QubitEncoding((0, 1), "odd"), QubitEncoding((2, 3), "odd")
+_COUNTS = (0, 13)
+
+#: (public name, parameter, call with the value in that parameter, out-of-range integers);
+#: a mode set or pair gets the value as one of its entries
+MODE_ARGUMENTS = [
+    ("FockState", "n_modes", lambda v, rng: FockState(v, np.zeros(4), "even"), _COUNTS),
+    ("FockOperator", "n_modes", lambda v, rng: FockOperator(v, np.eye(4), "unitary"), _COUNTS),
+    ("make_state", "n_modes", lambda v, rng: make_state(v, {0: 1.0}), _COUNTS),
+    ("basis_state", "n_modes", lambda v, rng: basis_state(v, 0), _COUNTS),
+    ("basis_state", "mask", lambda v, rng: basis_state(2, v), (4, -1)),
+    ("vacuum_state", "n_modes", lambda v, rng: vacuum_state(v), _COUNTS),
+    ("random_state", "n_modes", lambda v, rng: fermient.random_state(v, rng=rng), _COUNTS),
+    ("apply_creation", "mode", lambda v, rng: apply_creation(_VAC2, v), (2, -1)),
+    ("apply_annihilation", "mode", lambda v, rng: fermient.apply_annihilation(_VAC2, v), (2, -1)),
+    ("ModePartition", "n_modes", lambda v, rng: ModePartition(v, (0,)), _COUNTS),
+    ("ModePartition", "side_a", lambda v, rng: ModePartition(4, (0, v)), (4, -1)),
+    ("ModePartition", "side_b", lambda v, rng: ModePartition(4, (0,), (1, 2, v)), (4, -1)),
+    ("identity_map", "n_modes", lambda v, rng: fermient.identity_map(v), _COUNTS),
+    ("particle_hole_map", "n_modes", lambda v, rng: fermient.particle_hole_map(v, ()), _COUNTS),
+    ("particle_hole_map", "modes", lambda v, rng: fermient.particle_hole_map(2, (0, v)), (2, -1)),
+    ("random_bogoliubov", "n_modes", lambda v, rng: fermient.random_bogoliubov(v, rng=rng),
+     _COUNTS),
+    ("lift_to_fock", "n_modes", lambda v, rng: fermient.lift_to_fock(_MAP2, v), _COUNTS),
+    ("particle_hole", "modes", lambda v, rng: fermient.particle_hole(_VAC2, (v,)), (2, -1)),
+    ("QubitEncoding", "pair", lambda v, rng: QubitEncoding((0, v), "odd"), (-1,)),
+    ("pauli", "n_modes", lambda v, rng: pauli(_ENC01, "x", v), (*_COUNTS, 1)),
+    ("rotation", "n_modes", lambda v, rng: rotation(_ENC01, (0.1, 0.2, 0.3), v), (*_COUNTS, 1)),
+    ("hadamard", "n_modes", lambda v, rng: hadamard(_ENC01, v), (*_COUNTS, 1)),
+    ("cnot", "n_modes", lambda v, rng: cnot(_ENC01, _ENC23, v), (*_COUNTS, 3)),
+    ("parity_gate", "modes", lambda v, rng: parity_gate((0, v), 4), (4, -1)),
+    ("parity_gate", "n_modes", lambda v, rng: parity_gate((0,), v), _COUNTS),
+    ("occupation_projector", "mode", lambda v, rng: occupation_projector(v, 1, 4), (4, -1)),
+    ("occupation_projector", "n_modes", lambda v, rng: occupation_projector(0, 1, v), _COUNTS),
+    ("measure_branch", "mode", lambda v, rng: measure_branch(_VAC2, v, 0), (2, -1)),
+    ("measure_occupation", "mode", lambda v, rng: measure_occupation(_VAC2, v, rng=rng),
+     (2, -1)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, out_of_range", [entry[2:] for entry in MODE_ARGUMENTS],
+    ids=[f"{name}-{param}" for name, param, *_ in MODE_ARGUMENTS],
+)
+def test_mode_arguments_are_read_before_any_draw_or_allocation(call, out_of_range):
+    """A non-integer raises ArgumentError, an integer out of range DimensionMismatchError;
+    either before a passed rng draws or anything sizeable is allocated."""
+    cases = [(4.0, ArgumentError), (True, ArgumentError), ("1", ArgumentError)]
+    cases += [(value, DimensionMismatchError) for value in out_of_range]
+    for value, error in cases:
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as info:
+                call(value, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(info.value) is error, (value, info.value)
+        assert rng.bit_generator.state == before, value
+        assert peak < 1 << 20, value
+
+
+def test_every_public_mode_parameter_is_in_the_integer_table():
+    names = {"n_modes", "mode", "modes", "mask", "pair", "side_a", "side_b"}
+    covered = {(name, param) for name, param, *_ in MODE_ARGUMENTS}
+    wanted = set()
+    for name in fermient.__all__:
+        obj = getattr(fermient, name)
+        if not callable(obj) or name == "ReducedDensity":  # its ``modes`` is a label
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        wanted |= {(name, param) for param in names & set(params)}
+    assert wanted - covered == set()
+    assert covered <= wanted
+
+
+def test_random_state_checks_its_parity_tag_before_drawing():
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    with pytest.raises(fermient.WrongParityError, match="parity tag"):
+        fermient.random_state(2, "weird", rng=rng)
+    assert rng.bit_generator.state == before

@@ -71,14 +71,14 @@ def test_validate_rejects_shape_mismatch():
         validate_bogoliubov(np.eye(3), np.zeros((4, 4)))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: identity_map(0),
-    lambda: random_bogoliubov(0, seed=1),
-    lambda: validate_bogoliubov(np.zeros((0, 0)), np.zeros((0, 0))),
+@pytest.mark.parametrize("build, message", [
+    (lambda: identity_map(0), "^mode count 0 out of range 1..12$"),
+    (lambda: random_bogoliubov(0, seed=1), "^mode count 0 out of range 1..12$"),
+    (lambda: validate_bogoliubov(np.zeros((0, 0)), np.zeros((0, 0))), "non-empty"),
 ], ids=["identity_map", "random_bogoliubov", "validate_bogoliubov"])
-def test_empty_maps_are_rejected(build):
-    # before any residual is reduced over an empty block
-    with pytest.raises(DimensionMismatchError, match="non-empty"):
+def test_empty_maps_are_rejected(build, message):
+    # the mode count is read first; blocks are checked before any residual is reduced over them
+    with pytest.raises(DimensionMismatchError, match=message):
         build()
 
 
