@@ -256,7 +256,7 @@ def _cmd_bipartition(args) -> tuple[int, dict]:
     part = ModePartition(state.n_modes, args.a)
     payload = {"n_modes": state.n_modes, "side_a": list(part.side_a), "side_b": list(part.side_b)}
     if state.n_modes != 4 or len(part.side_a) not in (1, 2):
-        spec_a, spec_b = _side_spectra(state.vector[None], part)
+        spec_a, spec_b = _side_spectra(state.vector[None], part, int(state.parity == "odd"))
         payload["spectrum"] = _floats(spec_a[0])
         payload["S_A"] = float(_matched_entropies(spec_a, spec_b, von_neumann_term)[0])
         return 0, _report("bipartition", payload, {"lemma": tol})

@@ -86,10 +86,12 @@ class OneBodyDensity:
     kappa: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.rho)
-        if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.kappa) != shape or not shape[0]:
+        for name in ("rho", "kappa"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.complex128))
+        shape = self.rho.shape
+        if len(shape) != 2 or shape[0] != shape[1] or self.kappa.shape != shape or not shape[0]:
             raise DimensionMismatchError(
-                f"expected equal non-empty square blocks, got {shape} and {np.shape(self.kappa)}"
+                f"expected equal non-empty square blocks, got {shape} and {self.kappa.shape}"
             )
         values = _check_one_body(self.rho[None], self.kappa[None])[0].copy()
         self.rho.setflags(write=False)
@@ -146,6 +148,15 @@ def _sector_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
+def _sector_gather(vectors: np.ndarray, table: np.ndarray, odd) -> np.ndarray:
+    """``vectors[s, table[odd_s]]`` for each row s of an (S, 2^n) stack. ``odd`` (1 odd,
+    0 even) is one int for the stack, read as a view of ``table``, or one per row."""
+    if not isinstance(odd, np.ndarray):
+        return vectors.take(table[odd], axis=1)
+    rows = np.arange(0, vectors.size, vectors.shape[1]).reshape((-1,) + (1,) * (table.ndim - 1))
+    return vectors.ravel().take(table.take(odd, axis=0) + rows)
+
+
 def _one_body_stack(vectors: np.ndarray, n: int, odd) -> tuple[np.ndarray, np.ndarray]:
     """rho and kappa of every state vector in an (S, 2^n) stack, as (S, n, n) stacks.
 
@@ -154,11 +165,11 @@ def _one_body_stack(vectors: np.ndarray, n: int, odd) -> tuple[np.ndarray, np.nd
     one int for the stack, whose tables are then read as views, or one per sample.
     c_i psi and cdag_i psi are formed only on the other sector; weight outside is dropped.
     """
-    index, c, cdag = (table[odd] for table in _sector_tables(n))
+    index, c, cdag = _sector_tables(n)
     # row [s, i] of ann is c_i applied to vectors[s], and of cre cdag_i, on the opposite sector
-    moved = np.take(vectors.reshape(-1), index + (np.arange(len(vectors)) << n)[:, None, None])
-    ann = c * moved
-    cre = np.multiply(moved, cdag, out=moved)  # reuses the gather's buffer
+    moved = _sector_gather(vectors, index, odd)
+    ann = c[odd] * moved
+    cre = np.multiply(moved, cdag[odd], out=moved)  # reuses the gather's buffer
     kappa = ann @ np.conjugate(cre, out=cre).swapaxes(1, 2)
     rho = ann @ np.conjugate(ann, out=cre).swapaxes(1, 2)  # cre is spent; its buffer takes ann*
     rho = (rho + rho.conj().swapaxes(1, 2)) / 2.0

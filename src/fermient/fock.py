@@ -70,6 +70,18 @@ def _mode_index(value, what: str = "mode", bound: int | None = None, low: int = 
     return index
 
 
+def _mode_set(values, what: str = "mode set", bound: int | None = None, size: int | None = None):
+    """``values`` as a tuple of modes read by ``_mode_index``; a non-collection, or with
+    ``size`` given one of another length, raises ArgumentError naming ``what``."""
+    try:
+        entries = tuple(values)
+    except TypeError:
+        raise ArgumentError(f"{what} {values!r} is not a collection of modes") from None
+    if size is not None and len(entries) != size:
+        raise ArgumentError(f"{what} {values!r} does not hold {size} modes")
+    return tuple(_mode_index(m, bound=bound) for m in entries)
+
+
 def _mode_count(n_modes) -> int:
     """``n_modes`` read as a mode count, 1..12."""
     return _mode_index(n_modes, "mode count", _MAX_MODES + 1, low=1)

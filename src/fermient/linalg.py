@@ -36,7 +36,8 @@ class Spectrum:
 def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
     """(M + M^H)/2 of each matrix on the last two axes, after the Hermiticity check.
 
-    A failed check of a stack names the index of the first offending matrix.
+    A failed check of a stack names the first offending matrix by its index on
+    the leading axis.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -45,7 +46,7 @@ def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
     defect = np.max(np.abs(a - ah), axis=(-2, -1), initial=0.0)
     bad = np.flatnonzero(~(defect <= HERMITICITY_TOL))
     if bad.size:
-        where = f" in matrix {bad[0]}" if a.ndim > 2 else ""
+        where = f" in matrix {np.unravel_index(bad[0], defect.shape)[0]}" if a.ndim > 2 else ""
         raise NotHermitianError(
             f"hermiticity defect {defect.flat[bad[0]]:.3e} exceeds tolerance{where}"
         )

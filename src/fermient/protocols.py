@@ -89,6 +89,7 @@ from .fock import (
     _is_unit_weight,
     _mode_count,
     _mode_index,
+    _mode_set,
     _mode_tables,
     apply_operator_string,
     vacuum_state,
@@ -110,7 +111,7 @@ class QubitEncoding:
     kind: Kind
 
     def __post_init__(self) -> None:
-        i, j = (_mode_index(m) for m in self.pair)
+        i, j = _mode_set(self.pair, "pair", size=2)
         if i == j:
             raise ArgumentError("encoding modes must be distinct")
         if self.kind not in ("odd", "even"):
@@ -277,7 +278,7 @@ def cnot(
 
 def parity_gate(modes: tuple[int, ...], n_modes: int | None = None) -> FockOperator:
     """Local parity gate -exp(i pi N_side): -1 on even local parity, +1 on odd."""
-    side = {_mode_index(m) for m in modes}
+    side = set(_mode_set(modes, "modes"))
     if not side:
         raise ArgumentError("parity gate needs a non-empty mode set")
     n = _ambient_modes(n_modes, side)

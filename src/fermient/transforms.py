@@ -51,7 +51,7 @@ from .fock import (
     _dim,
     _is_unit_weight,
     _mode_count,
-    _mode_index,
+    _mode_set,
     _mode_tables,
     _require_unit_norm,
     make_state,
@@ -138,7 +138,7 @@ def particle_hole_map(n_modes: int, modes: Iterable[int]) -> BogoliubovMap:
     """Map with a_i = cdag_i on the listed modes and a_i = c_i elsewhere."""
     n = _mode_count(n_modes)
     sel = np.zeros(n)
-    sel[[_mode_index(m, bound=n) for m in modes]] = 1.0
+    sel[list(_mode_set(modes, "modes", n))] = 1.0
     return validate_bogoliubov(np.diag(1.0 - sel), np.diag(sel))
 
 

@@ -1,7 +1,9 @@
 """Smoke runs of benchmark workloads whose oracles check every output.
 
 gates-lift checks every gate; normal-form checks that each report's U/V pass
-``validate_bogoliubov`` and that alpha_plus matches the generating f_plus. The
+``validate_bogoliubov`` and that alpha_plus matches the generating f_plus;
+mode-scaling checks every entropy and reduced spectrum at n = 8, 10 and 12 on
+both splits against numpy references. The
 span tracer of traced runs is checked in process: it must find every function
 and method it wraps, and put every binding back.
 """
@@ -17,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["gates-lift", "normal-form"])
+@pytest.mark.parametrize("workload", ["gates-lift", "normal-form", "mode-scaling"])
 def test_benchmark_outputs_pass_its_oracle(workload):
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

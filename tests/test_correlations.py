@@ -250,3 +250,14 @@ def test_one_body_density_rejects_defective_blocks(defect, message):
 def test_one_body_density_rejects_blocks_that_are_not_equal_squares(rho, kappa):
     with pytest.raises(DimensionMismatchError, match="expected equal non-empty square blocks"):
         OneBodyDensity(rho=rho, kappa=kappa)
+
+
+def test_one_body_density_accepts_nested_lists():
+    rho, kappa = _valid_blocks()
+    density = OneBodyDensity(rho.tolist(), kappa.tolist())
+    assert density.rho.dtype == np.complex128 and density.kappa.dtype == np.complex128
+    assert np.array_equal(density.rho, rho) and np.array_equal(density.kappa, kappa)
+    assert np.array_equal(density.spectrum(), OneBodyDensity(rho, kappa).spectrum())
+    assert OneBodyDensity([[1.0]], [[0.0]]).spectrum().tolist() == [1.0]
+    with pytest.raises(DimensionMismatchError):
+        OneBodyDensity([[1.0]], [0.0])

@@ -75,3 +75,7 @@ def test_nan_entries_fail_the_hermiticity_check(entry):
         hermitian_eigensystem(m)
     with pytest.raises(NotHermitianError, match="in matrix 1"):
         hermitian_eigenvalues(np.stack([np.eye(3), m]))
+    # a stack of block pairs names the leading index, not the flat index of the block
+    pairs = np.stack([np.stack([np.eye(3), np.eye(3)])] * 2 + [np.stack([np.eye(3), m])])
+    with pytest.raises(NotHermitianError, match="in matrix 2$"):
+        hermitian_eigenvalues(pairs)

@@ -149,7 +149,7 @@ def test_partial_trace_on_shuffled_partitions(n, parity, seed, data):
     assert np.max(np.abs(spectrum - rho_a.spectrum())) <= 1e-10
 
     # every S(rho_A) reader goes through the one stacked kernel, so all agree exactly
-    spec_a, spec_b = entanglement._side_spectra(state.vector[None], part)
+    spec_a, spec_b = entanglement._side_spectra(state.vector[None], part, int(parity == "odd"))
     entropy = entanglement._matched_entropies(spec_a, spec_b, von_neumann_term)
     assert np.array_equal(spec_a[0], rho_a.spectrum())
     assert np.array_equal(spec_b[0], rho_b.spectrum())
@@ -186,7 +186,7 @@ def test_partial_trace_matches_the_gaussian_oracle(n, odd, seed, perm, k_raw):
     want_a = peschel_spectrum(rho, kappa, list(part.side_a))
     want_b = peschel_spectrum(rho, kappa, list(part.side_b))
 
-    spec_a, spec_b = entanglement._side_spectra(state.vector[None], part)
+    spec_a, spec_b = entanglement._side_spectra(state.vector[None], part, int(odd))
     assert np.max(np.abs(spec_a[0] - want_a)) <= 1e-12
     assert np.max(np.abs(spec_b[0] - want_b)) <= 1e-12
     assert np.max(np.abs(reduced_state(state, part, "a").spectrum() - want_a)) <= 1e-12
@@ -230,8 +230,8 @@ def test_majorization_check_diagonalizes_each_matrix_once(monkeypatch):
     eigensolves = _count_eigensolves(monkeypatch)
     verdict = majorization_check(random_state(4, seed=5), ModePartition(4, (0, 2)))
     assert verdict["holds"]
-    # a stack of one: rho_A and rho_B, then the extended matrix
-    assert eigensolves == [(1, 4, 4), (1, 4, 4), (1, 8, 8)]
+    # a stack of one: the two parity blocks of rho_A and of rho_B, then the extended matrix
+    assert eigensolves == [(1, 2, 2, 2), (1, 2, 2, 2), (1, 8, 8)]
 
 
 def test_check_lemma2_eigensolves_do_not_grow_with_samples(monkeypatch, capsys):
@@ -258,13 +258,14 @@ def test_bipartition_builds_each_reduced_state_once(monkeypatch, capsys):
     eigensolves = _count_eigensolves(monkeypatch)
     assert cli.main(["bipartition", str(_GOLDEN / "even4.json"), "--a", "0,2"]) == 0
     capsys.readouterr()
-    # rho_A and rho_B for the spectrum and every entropy, then the extended matrix
-    assert eigensolves == [(1, 4, 4)] * 2 + [(1, 8, 8)]
+    # rho_A and rho_B, two parity blocks each, for the spectrum and every entropy, then the
+    # extended matrix
+    assert eigensolves == [(1, 2, 2, 2)] * 2 + [(1, 8, 8)]
     eigensolves.clear()
     assert cli.main(["bipartition", str(_GOLDEN / "even4.json"), "--a", "0,1,2"]) == 0
     capsys.readouterr()
     # not a Lemma split: rho_A and rho_B only
-    assert eigensolves == [(1, 8, 8), (1, 2, 2)]
+    assert eigensolves == [(1, 2, 4, 4), (1, 2, 1, 1)]
 
 
 def test_one_body_spectrum_is_computed_once(monkeypatch, capsys):
@@ -486,6 +487,22 @@ def test_local_parity_split_checks_its_sandwich_against_the_bilinear(monkeypatch
                 local_parity_split(state, part)
 
 
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 9), first_odd=st.booleans())
+def test_majorization_stack_matches_the_gaussian_oracle_on_alternating_parities(
+    seed, size, first_odd
+):
+    """A stack of both parities takes the per-sample parity route of the block kernel."""
+    rng = np.random.default_rng(seed)
+    states = [bloch_messiah_state(4, (k + first_odd) % 2 == 1, rng) for k in range(size)]
+    parts = [ModePartition(4, side) for side in _LEMMA_SIDES]
+    batch = majorization_stack(np.array([vector for vector, _, _ in states]), parts)
+    for p, part in enumerate(parts):
+        for s, (_, rho, kappa) in enumerate(states):
+            want = peschel_spectrum(rho, kappa, list(part.side_a))
+            assert np.max(np.abs(batch.spectra[p][s] - want)) <= 1e-12
+
+
 def test_majorization_stack_names_the_failing_sample():
     vectors = np.array([random_state(4, parity=("even", "odd")[k % 2], seed=k).vector
                         for k in range(6)])
@@ -495,6 +512,10 @@ def test_majorization_stack_names_the_failing_sample():
         scaled[bad] *= 1.1
         with pytest.raises(FermionError, match=f"trace differs from 1 at sample {100 + bad}$"):
             majorization_stack(scaled, parts, first=100)
+        # the block kernel's own trace check names the sample, not one of its two blocks
+        for part in parts:
+            with pytest.raises(FermionError, match=f"trace differs from 1 at sample {100 + bad}$"):
+                entanglement._side_spectra(scaled, part, np.arange(6) % 2, first=100)
 
 
 def test_majorization_stack_rejects_a_mixed_parity_sample():
@@ -534,6 +555,33 @@ def test_one_body_matches_the_full_space_oracle(n, parity, seed, leak):
     tol = 2e-10 if leak else 1e-12
     assert np.max(np.abs(blocks.rho - rho)) <= tol
     assert np.max(np.abs(blocks.kappa - kappa)) <= tol
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(2, 8),
+    parity=st.sampled_from(["even", "odd"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@example(n=2, parity="even", seed=0, data=None)
+def test_partial_trace_drops_off_sector_weight_within_its_stated_bound(n, parity, seed, data):
+    # the blocks hold the tagged sector only; a leak puts 0.9 TOL_NORM of the weight outside
+    # it, and the entanglement docstring bounds every entry's move by sqrt(w)
+    rng = np.random.default_rng(seed)
+    vector = random_state(n, parity=parity, rng=rng).vector
+    other = random_state(n, parity="odd" if parity == "even" else "even", rng=rng).vector
+    state = FockState(n, math.sqrt(1.0 - _LEAK) * vector + math.sqrt(_LEAK) * other, parity)
+    if data is None:  # one mode a side, where the bound is nearly reached
+        order, k = list(range(n)), 1
+    else:
+        order, k = data.draw(st.permutations(range(n))), data.draw(st.integers(1, n - 1))
+    part = ModePartition(n, order[:k], order[k:])
+    # rho_B is rho_A of the swapped partition: the two dressings differ by (-1)^(N_A N_B),
+    # one sign per block of t
+    for side, oracle_part in (("a", part), ("b", ModePartition(n, order[k:], order[:k]))):
+        matrix = reduced_state(state, part, side).matrix
+        assert np.max(np.abs(matrix - oracle_reduced(state, oracle_part))) <= math.sqrt(_LEAK) + 1e-14
 
 
 def test_side_entropy_mismatch_is_one_check(monkeypatch, capsys):

@@ -849,6 +849,31 @@ def test_mode_arguments_are_read_before_any_draw_or_allocation(call, out_of_rang
         assert peak < 1 << 20, value
 
 
+#: (public name, parameter, call with a container argument of the wrong kind)
+CONTAINER_ARGUMENTS = [
+    ("ModePartition", "side_a", lambda: ModePartition(4, 1)),
+    ("ModePartition", "side_b", lambda: ModePartition(4, (0,), 2)),
+    ("particle_hole_map", "modes", lambda: fermient.particle_hole_map(4, 1)),
+    ("particle_hole", "modes", lambda: fermient.particle_hole(_VAC2, 0)),
+    ("parity_gate", "modes", lambda: parity_gate(4.0)),
+    ("QubitEncoding", "pair", lambda: QubitEncoding((0, 1, 2), "odd")),
+    ("QubitEncoding", "pair", lambda: QubitEncoding((0,), "odd")),
+    ("QubitEncoding", "pair", lambda: QubitEncoding(0, "odd")),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [entry[2] for entry in CONTAINER_ARGUMENTS],
+    ids=[f"{name}-{param}-{k}" for k, (name, param, _) in enumerate(CONTAINER_ARGUMENTS)],
+)
+def test_container_arguments_of_the_wrong_kind_raise_argument_error(call):
+    """A bare mode where a mode set is due, or a pair of the wrong length, raises
+    ArgumentError (exit code 2 in the CLI), not a bare TypeError or ValueError."""
+    with pytest.raises(ArgumentError) as info:
+        call()
+    assert type(info.value) is ArgumentError
+
+
 def test_every_public_mode_parameter_is_in_the_integer_table():
     names = {"n_modes", "mode", "modes", "mask", "pair", "side_a", "side_b"}
     covered = {(name, param) for name, param, *_ in MODE_ARGUMENTS}
