@@ -117,16 +117,20 @@ def _require_unit_traces(traces: np.ndarray, first: int | None) -> None:
     )
 
 
-def _reduced_spectra(blocks: np.ndarray, first: int | None = None) -> np.ndarray:
+def _reduced_spectra(blocks: np.ndarray, first: int | None = None, weights=None) -> np.ndarray:
     """Spectra, descending, of a stack (S, B, k, k) of B diagonal blocks per reduced matrix.
 
     ``linalg`` judges each block's Hermiticity (NotHermitianError). Each
-    matrix's block traces must sum to 1 by the unit-norm rule, and no
-    eigenvalue may lie below -1e-10; else FermionError (naming the sample
-    ``first + s`` when ``first`` is given). The block spectra are merged in place.
+    matrix's trace must be 1 by the unit-norm rule, and no eigenvalue may lie
+    below -1e-10; else FermionError (naming the sample ``first + s`` when
+    ``first`` is given). The trace is the block traces' sum, or each state's
+    whole ``weights`` |psi|^2, which adds back the weight outside its sector.
+    The block spectra are merged in place.
     """
     values = hermitian_eigenvalues(blocks).reshape(len(blocks), -1)
-    _require_unit_traces(blocks.diagonal(0, 2, 3).real.sum(axis=(1, 2)), first)
+    if weights is None:
+        weights = blocks.diagonal(0, 2, 3).real.sum(axis=(1, 2))
+    _require_unit_traces(weights, first)
     values.sort(axis=1)
     _raise_first(
         values[:, 0] < -1e-10, FermionError, "reduced matrix has a negative eigenvalue", first
@@ -147,8 +151,10 @@ class ReducedDensity:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_values", _reduced_spectra(self.matrix[None, None])[0])
-        self.matrix.setflags(write=False)
+        matrix = np.array(self.matrix, dtype=np.complex128)  # a private copy
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_values", _reduced_spectra(matrix[None, None])[0])
+        matrix.setflags(write=False)
         self._values.setflags(write=False)
 
     @classmethod
@@ -230,7 +236,7 @@ def reduced_state(state: FockState, part: ModePartition, side: str = "a") -> Red
         raise SideMismatchError(f"unknown side {side!r}")
     odd = int(state.parity == "odd")
     blocks = _side_blocks(_coefficient_blocks(state.vector[None], part, odd), label)
-    values = _reduced_spectra(blocks)[0]
+    values = _reduced_spectra(blocks, weights=state._weight)[0]
     modes = part.side_a if label == "a" else part.side_b
     matrix = np.zeros((1 << len(modes),) * 2, dtype=np.complex128)
     np.put(matrix, _block_table(part.side_a, part.side_b)[2][label][odd], blocks)
@@ -238,13 +244,13 @@ def reduced_state(state: FockState, part: ModePartition, side: str = "a") -> Red
 
 
 def _side_spectra(
-    vectors: np.ndarray, part: ModePartition, odd, first: int | None = None
+    vectors: np.ndarray, part: ModePartition, odd, first: int | None = None, weights=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Checked rho_A and rho_B spectra, descending, of an (S, 2^n) stack of pure states
-    of parity ``odd`` (one int, or one per sample)."""
+    of parity ``odd`` (one int, or one per sample); ``weights`` as ``_reduced_spectra``."""
     t = _coefficient_blocks(vectors, part, odd)
-    spec_a = _reduced_spectra(_side_blocks(t, "a"), first)
-    return spec_a, _reduced_spectra(_side_blocks(t, "b"), first)
+    spec_a = _reduced_spectra(_side_blocks(t, "a"), first, weights)
+    return spec_a, _reduced_spectra(_side_blocks(t, "b"), first, weights)
 
 
 def _matched_entropies(
@@ -266,7 +272,8 @@ def bipartite_entropy(
     entropy_fn: Callable[[float], float] = von_neumann_term,
 ) -> float:
     """Entanglement entropy of the partition; checks S(rho_A) = S(rho_B)."""
-    spec_a, spec_b = _side_spectra(state.vector[None], part, int(state.parity == "odd"))
+    odd = int(state.parity == "odd")
+    spec_a, spec_b = _side_spectra(state.vector[None], part, odd, weights=state._weight)
     return float(_matched_entropies(spec_a, spec_b, entropy_fn)[0])
 
 
@@ -437,14 +444,15 @@ def majorization_stack(
     # Tr rho_A = |psi|^2, so the unit-trace rule is judged on the weights first: an
     # unnormalized state fails on its trace, then a mixed one on its parity
     weights = _sector_weights(vectors, 4)
-    _require_unit_traces(weights.sum(axis=1), first)
+    totals = weights.sum(axis=1)
+    _require_unit_traces(totals, first)
     odd = _sector_parities(weights, first)
     shape = (len(vectors), len(parts))
     lambda_max = np.empty(shape)
     values = {name: np.empty(shape) for name in REGISTERED_ENTROPIES}
     spectra = []
     for p, part in enumerate(parts):
-        spec_a, spec_b = _side_spectra(vectors, part, odd, first)
+        spec_a, spec_b = _side_spectra(vectors, part, odd, first, totals)
         spectra.append(spec_a)
         lambda_max[:, p] = spec_a[:, 0]
         for name, fn in REGISTERED_ENTROPIES.items():

@@ -458,7 +458,7 @@ def _defect(kind: str, stack: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense operator on the full Fock space with a declared kind.
+    """Operator on the full Fock space with a declared kind.
 
     ``kind`` is one of ``"unitary"``, ``"hermitian"``, ``"projector"``; the
     corresponding algebraic property is checked at construction within
@@ -467,14 +467,18 @@ class FockOperator:
     the array passed in; input that does not convert to a 2^n x 2^n array
     raises DimensionMismatchError.
 
-    Inside the package, ``_from_blocks`` checks the protocol operators on their
-    2x2 blocks and ``lift_to_fock`` its own unitarity; both then pass the
-    measured defect to ``_checked``, which holds it to the same TOL_NORM.
+    Inside the package, ``lift_to_fock`` passes its measured defect to
+    ``_checked``, held to the same TOL_NORM. ``_from_blocks`` checks the
+    protocol operators on their 2x2 blocks and keeps that block form: ``apply``
+    costs O(2^n), and ``matrix`` is built on first read, cached and read-only.
     """
 
     n_modes: int
     matrix: np.ndarray = field(repr=False)
     kind: Literal["unitary", "hermitian", "projector"]
+
+    #: block form (``_diagonal``, ``_partner``, ``_off``) of ``_from_blocks``; None when dense
+    _partner = None
 
     def __post_init__(self) -> None:
         dim = _dim(self.n_modes)
@@ -486,24 +490,26 @@ class FockOperator:
             raise DimensionMismatchError(
                 f"operator shape {matrix.shape} does not match {self.n_modes} modes"
             )
-        self._seal(matrix, _defect(self.kind, matrix[None]))
+        self._seal(_defect(self.kind, matrix[None]), matrix=matrix)
 
-    def _seal(self, matrix: np.ndarray, defect: float) -> None:
-        """Store ``matrix`` read-only once its dense ``_defect`` passes TOL_NORM."""
+    def _seal(self, defect: float, **arrays: np.ndarray) -> None:
+        """Store ``arrays`` read-only once the measured ``defect`` passes TOL_NORM: the
+        dense ``matrix``, or the block form's ``_diagonal``, ``_partner`` and ``_off``."""
         if not defect <= TOL_NORM:  # also rejects NaN
             raise OperatorPropertyError(f"matrix violates {self.kind} property by {defect:.3e}")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @classmethod
     def _checked(
-        cls, n_modes: int, matrix: np.ndarray, kind: str, defect: float
+        cls, n_modes: int, kind: str, defect: float, **arrays: np.ndarray
     ) -> "FockOperator":
-        """Operator whose caller measured ``defect``; ``matrix`` is kept without a copy."""
+        """Operator whose caller measured ``defect``; its ``arrays`` are kept without a copy."""
         op = object.__new__(cls)
         object.__setattr__(op, "n_modes", n_modes)
         object.__setattr__(op, "kind", kind)
-        op._seal(matrix, defect)
+        op._seal(defect, **arrays)
         return op
 
     @classmethod
@@ -516,9 +522,12 @@ class FockOperator:
         A mask in two blocks raises OperatorPropertyError. M is then a direct
         sum of the (K, 2, 2) blocks and the 1x1 diagonal singles, and so are
         M^dag M, M - M^dag and M M - M, so the blocks give the dense defect in
-        O(2^n). The one 2^n x 2^n array allocated is M itself.
+        O(2^n). M is kept as a copy of the diagonal, ``partner`` (q at p, p at q,
+        m at a single m) and ``off`` (hop at q, back at p, 0 at a single), so
+        M v = diagonal * v + off * v[partner]; no 2^n x 2^n array is allocated.
         """
         dim = _dim(n_modes)
+        diagonal = np.array(diagonal, dtype=np.complex128)
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         p, q = pairs.T
         single = np.bincount(pairs.ravel(), minlength=dim) == 0
@@ -527,18 +536,35 @@ class FockOperator:
         blocks = np.stack([diagonal[p], back, hop, diagonal[q]], axis=-1).reshape(-1, 2, 2)
         singles = diagonal[single].reshape(-1, 1, 1)
         defect = float(np.maximum(_defect(kind, blocks), _defect(kind, singles)))
+        partner = np.arange(dim)
+        partner[q], partner[p] = p, q
+        off = np.zeros(dim, dtype=np.complex128)
+        off[q], off[p] = hop, back
+        return cls._checked(n_modes, kind, defect, _diagonal=diagonal, _partner=partner, _off=off)
+
+    def __getattr__(self, name: str):
+        """Build a block form's ``matrix`` on its first read: cached, read-only, and entry
+        for entry the M of ``_from_blocks``. Only reached while ``matrix`` is not stored."""
+        if name != "matrix" or self._partner is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dim = self._partner.size
         matrix = np.zeros((dim, dim), dtype=np.complex128)
-        np.fill_diagonal(matrix, diagonal)
-        matrix[q, p] = hop
-        matrix[p, q] = back
-        return cls._checked(n_modes, matrix, kind, defect)
+        matrix[np.arange(dim), self._partner] = self._off
+        np.fill_diagonal(matrix, self._diagonal)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        return matrix
 
     def apply(self, state: FockState) -> FockState:
         if state.n_modes != self.n_modes:
             raise DimensionMismatchError(
                 f"operator on {self.n_modes} modes applied to {state.n_modes}-mode state"
             )
-        out = self.matrix @ state.vector
+        v = state.vector
+        if self._partner is None:
+            out = self.matrix @ v
+        else:
+            out = self._diagonal * v + self._off * v[self._partner]
         weights = _sector_weights(out[None], state.n_modes)
         if weights.sum() <= TOL_ZERO**2:
             raise ZeroNormError("operator annihilated the state")

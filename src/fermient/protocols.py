@@ -49,13 +49,14 @@ disjoint 2x2 blocks: each hop couples one column mask with one row mask, the
 pairs of the two kinds are disjoint, and ``parity_gate``, the sigma_z Pauli
 and ``occupation_projector`` are diagonal. Each is handed to ``fock`` as its
 full diagonal, its mask pairs and the two off-diagonal entries of each block.
-``fock`` rejects a mask that lies in two blocks, writes the one dense matrix
-itself, and checks the operator's kind (unitary, Hermitian or projector) on
-the 2x2 blocks and the 1x1 diagonal singles. M is a direct sum of those, so
-M^dag M, M - M^dag and M M - M are too, and the largest block residual is the
-dense defect. The check costs O(2^n) and scans no dense matrix for nonzero
-entries, since nothing can lie outside the blocks; nothing of size 2^n x 2^n
-is allocated beside the operator itself.
+``fock`` rejects a mask that lies in two blocks and checks the operator's
+kind (unitary, Hermitian or projector) on the 2x2 blocks and the 1x1
+diagonal singles. M is a direct sum of those, so M^dag M, M - M^dag and
+M M - M are too, and the largest block residual is the dense defect. The
+check costs O(2^n) and scans no dense matrix for nonzero entries, since
+nothing can lie outside the blocks. The operator keeps that block form, so
+``apply`` is one gather, O(2^n), and nothing of size 2^n x 2^n is allocated
+unless a caller reads ``.matrix``.
 
 The protocols cache operators, not arrays, with every phase folded into the
 closed form, and change a state only through ``FockOperator.apply``. The
@@ -114,6 +115,7 @@ class QubitEncoding:
         i, j = _mode_set(self.pair, "pair", size=2)
         if i == j:
             raise ArgumentError("encoding modes must be distinct")
+        object.__setattr__(self, "pair", (i, j))
         if self.kind not in ("odd", "even"):
             raise ArgumentError(f"unknown encoding kind {self.kind!r}")
 
@@ -135,10 +137,11 @@ def _ambient_modes(n_modes: int | None, *mode_groups: tuple[int, ...]) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=64)
 def _dictionary_tables(
     pair: tuple[int, int], kind: Kind, n_modes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bit tables of one kind's Pauli dictionary on ``pair``.
+    """Bit tables of one kind's Pauli dictionary on ``pair``, read-only.
 
     Returns ``(sector, z, rows, cols, sign)``: the diagonals of the sector
     projector Pi and of sigma_z, and the table of h = cdag_i c_j (odd kind) or
@@ -160,7 +163,10 @@ def _dictionary_tables(
     mid = cols ^ (1 << j)
     rows = mid ^ (1 << i)
     sign = (c if kind == "odd" else cdag)[j, mid] * cdag[i, rows]
-    return sector.astype(np.float64), z.astype(np.float64), rows, cols, sign
+    tables = (sector.astype(np.float64), z.astype(np.float64), rows, cols, sign)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def pauli(encoding: QubitEncoding, axis: Axis, n_modes: int | None = None) -> FockOperator:

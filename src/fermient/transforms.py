@@ -280,7 +280,7 @@ def lift_to_fock(bmap: BogoliubovMap, n_modes: int) -> FockOperator:
             raise LiftFailureError(
                 f"conjugation residual {conj_defect:.3e} on mode {i}"
             )
-    return FockOperator._checked(n_modes, cols, "unitary", unit_defect)
+    return FockOperator._checked(n_modes, "unitary", unit_defect, matrix=cols)
 
 
 def particle_hole(state: FockState, modes: Iterable[int]) -> FockState:

@@ -22,6 +22,7 @@ from fermient.entanglement import (
     concurrence_odd,
     local_parity_split,
     majorization_check,
+    majorization_stack,
     reduced_state,
     schmidt_concurrence,
 )
@@ -95,6 +96,36 @@ def test_majorization_check_names_no_sample():
 def test_reduced_density_leaves_hermiticity_to_linalg():
     with pytest.raises(NotHermitianError, match="^hermiticity defect"):
         ReducedDensity((0,), "a", np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))
+
+
+def test_reduced_density_takes_a_private_complex_copy():
+    given = [[1.0, 0.0], [0.0, 0.0]]
+    rho = ReducedDensity((0,), "a", given)
+    assert rho.matrix.dtype == np.complex128 and not rho.matrix.flags.writeable
+    assert np.array_equal(rho.spectrum(), [1.0, 0.0])
+    # the caller's array stays the caller's
+    own = np.array(given)
+    rho = ReducedDensity((0,), "a", own)
+    assert own.flags.writeable and rho.matrix is not own
+    own[0, 0] = 0.5
+    assert rho.matrix[0, 0] == 1.0
+
+
+def test_reduced_trace_counts_the_weight_outside_the_tagged_sector():
+    # norm 1 - 0.9e-10 with an outside share of 0.9e-10: each passes the state's rules, and the
+    # sector's own weight alone would miss the unit-trace rule
+    rng = np.random.default_rng(5)
+    even = random_state(4, "even", rng=rng).vector
+    odd = random_state(4, "odd", rng=rng).vector
+    vector = (1.0 - 0.9e-10) * (np.sqrt(1.0 - 0.9e-10) * even + np.sqrt(0.9e-10) * odd)
+    state = FockState(4, vector, "even")
+    one_body(state)
+    part = ModePartition(4, (0, 2))
+    for side in ("a", "b"):
+        assert np.sum(reduced_state(state, part, side).spectrum()) == pytest.approx(1.0, abs=1e-9)
+    assert bipartite_entropy(state, part) >= 0.0
+    majorization_check(state, part)
+    majorization_stack(np.stack([vector, even]), [part, ModePartition(4, (1,))])
 
 
 def test_derived_weights_follow_the_unit_norm_rule():

@@ -26,6 +26,7 @@ from fermient import (
     compose,
     concurrence,
     entanglement,
+    fock,
     identity_map,
     lift_to_fock,
     local_parity_split,
@@ -660,9 +661,9 @@ _GATE_TOL = 1e-12
 
 
 @st.composite
-def distinct_modes(draw, count: int) -> tuple[int, tuple[int, ...]]:
-    """A mode count n <= 6 and ``count`` distinct modes in any order."""
-    n = draw(st.integers(max(count, 2), 6))
+def distinct_modes(draw, count: int, top: int = 6) -> tuple[int, tuple[int, ...]]:
+    """A mode count n <= ``top`` and ``count`` distinct modes in any order."""
+    n = draw(st.integers(max(count, 2), top))
     return n, tuple(draw(st.permutations(range(n)))[:count])
 
 
@@ -732,59 +733,89 @@ def _expected_kind(name: str) -> str:
     return "unitary"
 
 
-def _operator_and_oracle(name, n, modes, kind, weights):
-    """An operator on the first one or two pairs of ``modes`` and its dense oracle."""
+def _block_operator(name, n, modes, kind, weights):
+    """The protocol operator ``name`` on the first one or two pairs of ``modes``."""
     a, b, c, d = modes
     enc = QubitEncoding((a, b), kind)
     if name.startswith("rotation"):
-        both = name == "rotation-both"
-        return rotation(enc, weights, n, both), oracle_rotation((a, b), kind, weights, n, both)
+        return rotation(enc, weights, n, name == "rotation-both")
+    if name == "hadamard":
+        return hadamard(enc, n)
+    if name.startswith("cnot"):
+        return cnot(enc, QubitEncoding((c, d), kind), n, name == "cnot-both")
+    if name.startswith("pauli"):
+        return pauli(enc, name[-1], n)
+    if name.startswith("projector"):
+        return occupation_projector(a, int(name[-1]), n)
+    return parity_gate((c, a), n)
+
+
+def _operator_and_oracle(name, n, modes, kind, weights):
+    """``_block_operator`` and its dense oracle."""
+    a, b, c, d = modes
+    op = _block_operator(name, n, modes, kind, weights)
+    if name.startswith("rotation"):
+        return op, oracle_rotation((a, b), kind, weights, n, name == "rotation-both")
     if name == "hadamard":
         w = math.pi / (2.0 * math.sqrt(2.0))
-        return hadamard(enc, n), 1j * oracle_rotation((a, b), kind, (-w, 0.0, w), n)
+        return op, 1j * oracle_rotation((a, b), kind, (-w, 0.0, w), n)
     if name.startswith("cnot"):
-        both = name == "cnot-both"
-        gate = cnot(enc, QubitEncoding((c, d), kind), n, both)
-        return gate, oracle_cnot((a, b), (c, d), kind, n, both)
+        return op, oracle_cnot((a, b), (c, d), kind, n, name == "cnot-both")
     if name.startswith("pauli"):
-        axis = name[-1]
-        return pauli(enc, axis, n), oracle_pauli((a, b), kind, axis, n)
+        return op, oracle_pauli((a, b), kind, name[-1], n)
     if name.startswith("projector"):
-        outcome, occupied = int(name[-1]), number_matrix(n, a)
-        return occupation_projector(a, outcome, n), occupied if outcome else np.eye(1 << n) - occupied
-    side = (c, a)
-    return parity_gate(side, n), -oracle_exp(math.pi * sum(number_matrix(n, m) for m in side))
+        occupied = number_matrix(n, a)
+        return op, occupied if name[-1] == "1" else np.eye(1 << n) - occupied
+    return op, -oracle_exp(math.pi * (number_matrix(n, c) + number_matrix(n, a)))
 
 
 def _spied(build):
-    """Run ``build``, recording the arguments of each block construction and each checked defect.
+    """Run ``build``, recording the arguments of each block construction and its block defect.
 
-    Returns (result, blocks, checks): ``blocks`` holds (n, kind, diagonal,
-    pairs, hop, back) per ``FockOperator._from_blocks`` call, ``checks`` holds
-    (matrix, kind, defect) per ``FockOperator._checked`` call, and ``result``
-    is the OperatorPropertyError if one was raised.
+    Returns (result, blocks, defects): ``blocks`` holds (n, kind, diagonal,
+    pairs, hop, back) per ``FockOperator._from_blocks`` call, ``defects`` holds
+    (kind, stack shape, defect) per ``fock._defect`` call, and ``result`` is the
+    OperatorPropertyError if one was raised.
     """
-    blocks, checks = [], []
+    blocks, defects = [], []
     from_blocks = FockOperator._from_blocks.__func__
-    checked = FockOperator._checked.__func__
+    defect_of = fock._defect
 
     def block_spy(cls, n_modes, kind, diagonal, *entries):
         pairs, hop, back = entries or (np.empty((0, 2), dtype=np.int64), np.empty(0), np.empty(0))
         blocks.append((n_modes, kind, diagonal, pairs, hop, back))
         return from_blocks(cls, n_modes, kind, diagonal, *entries)
 
-    def check_spy(cls, n_modes, matrix, kind, defect):
-        checks.append((matrix.copy(), kind, defect))
-        return checked(cls, n_modes, matrix, kind, defect)
+    def defect_spy(kind, stack):
+        defect = defect_of(kind, stack)
+        defects.append((kind, stack.shape, defect))
+        return defect
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FockOperator, "_from_blocks", classmethod(block_spy))
-        mp.setattr(FockOperator, "_checked", classmethod(check_spy))
+        mp.setattr(fock, "_defect", defect_spy)
         try:
             result = build()
         except OperatorPropertyError as exc:
             result = exc
-    return result, blocks, checks
+    return result, blocks, defects
+
+
+def _block_defect(defects, kind: str, pairs) -> float:
+    """The one defect of a block construction: its kind measured once on the (K, 2, 2)
+    blocks and once on the 1x1 diagonal singles, and the larger kept."""
+    (kind_2, shape_2, defect_2), (kind_1, shape_1, defect_1) = defects
+    assert (kind_2, kind_1) == (kind, kind)
+    assert shape_2 == (len(pairs), 2, 2) and shape_1[1:] == (1, 1)
+    return max(defect_2, defect_1)
+
+
+def _dense_from_entries(diagonal, pairs, hop, back) -> np.ndarray:
+    """The operator a block construction describes, written densely by the test."""
+    matrix = np.diag(np.asarray(diagonal, dtype=np.complex128))
+    p, q = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    matrix[q, p], matrix[p, q] = hop, back
+    return matrix
 
 
 def _unitary_defect(m: np.ndarray) -> float:
@@ -816,21 +847,19 @@ _DENSE_DEFECT = {
 @example("projector-0", (4, (3, 0, 1, 2)), "odd", (0.0, 0.0, 0.0))
 def test_block_check_equals_dense_check(name, case, kind, weights):
     n, modes = case
-    (op, want), blocks, checks = _spied(lambda: _operator_and_oracle(name, n, modes, kind, weights))
-    assert len(blocks) == len(checks) == 1
-    (_, block_kind, diagonal, pairs, hop, back), (matrix, checked_kind, defect) = blocks[0], checks[0]
-    assert block_kind == checked_kind == op.kind
-    assert (op.n_modes, op.kind, op.matrix.flags.writeable) == (n, _expected_kind(name), False)
-    assert np.array_equal(matrix, op.matrix)
-    # the written matrix holds the diagonal and the blocks, and nothing else
-    p, q = pairs.T
-    assert np.array_equal(matrix.diagonal(), diagonal)
-    assert np.array_equal(matrix[q, p], hop) and np.array_equal(matrix[p, q], back)
-    matrix[q, p] = matrix[p, q] = 0.0
-    np.fill_diagonal(matrix, 0.0)
-    assert not matrix.any()
-    assert abs(defect - _DENSE_DEFECT[op.kind](op.matrix)) <= 1e-15
-    assert np.max(np.abs(op.matrix - want)) <= _GATE_TOL
+    (op, want), blocks, defects = _spied(lambda: _operator_and_oracle(name, n, modes, kind, weights))
+    assert len(blocks) == 1
+    _, block_kind, diagonal, pairs, hop, back = blocks[0]
+    defect = _block_defect(defects, op.kind, pairs)
+    assert (op.n_modes, op.kind, block_kind) == (n, _expected_kind(name), op.kind)
+    # the dense matrix is built on its first read, cached and read-only
+    assert "matrix" not in vars(op)
+    matrix = op.matrix
+    assert op.matrix is matrix and not matrix.flags.writeable
+    # it holds the diagonal and the blocks, and nothing else
+    assert np.array_equal(matrix, _dense_from_entries(diagonal, pairs, hop, back))
+    assert abs(defect - _DENSE_DEFECT[op.kind](matrix)) <= 1e-15
+    assert np.max(np.abs(matrix - want)) <= _GATE_TOL
 
 
 @given(st.sampled_from(_OPERATORS), distinct_modes(4), _KIND, st.tuples(_WEIGHT, _WEIGHT, _WEIGHT))
@@ -847,22 +876,26 @@ def test_block_check_rejects_corrupted_gates(name, case, kind, weights):
         places = [("diagonal", int(np.argmax(np.abs(diagonal))))]
     array, index = max(places, key=lambda place: abs(entries[place[0]][place[1]]))
 
-    def corrupted(factor):
-        bent = {key: np.array(value, dtype=np.complex128) for key, value in entries.items()}
-        bent[array][index] *= factor
-        return FockOperator._from_blocks(n, op_kind, bent["diagonal"], pairs, bent["hop"], bent["back"])
+    def bent(factor):
+        arrays = {key: np.array(value, dtype=np.complex128) for key, value in entries.items()}
+        arrays[array][index] *= factor
+        return arrays["diagonal"], pairs, arrays["hop"], arrays["back"]
 
     raised = []
     # scaled, and twisted (which keeps a unitary's column norms, moving B^dag B off the diagonal)
     for factor in (1.0 + 1e-8, np.exp(1e-8j)):
-        result, _, [(matrix, _, defect)] = _spied(lambda: corrupted(factor))
+        corrupted = bent(factor)
+        result, _, defects = _spied(lambda: FockOperator._from_blocks(n, op_kind, *corrupted))
+        matrix = _dense_from_entries(*corrupted)
         dense = _DENSE_DEFECT[op_kind](matrix)
-        assert abs(defect - dense) <= 1e-15
+        assert abs(_block_defect(defects, op_kind, pairs) - dense) <= 1e-15
         raised.append(isinstance(result, OperatorPropertyError))
         assert raised[-1] == (dense > TOL_NORM)
+        if not raised[-1]:
+            assert np.array_equal(result.matrix, matrix)
     assert any(raised)
     with pytest.raises(OperatorPropertyError):
-        corrupted(np.nan)
+        FockOperator._from_blocks(n, op_kind, *bent(np.nan))
     # two blocks share a mask
     if len(pairs):
         shared, shared_hop, shared_back = pairs.copy(), hop, back
@@ -871,3 +904,35 @@ def test_block_check_rejects_corrupted_gates(name, case, kind, weights):
         shared, shared_hop, shared_back = np.array([[0, 1], [1, 2]]), np.zeros(2), np.zeros(2)
     with pytest.raises(OperatorPropertyError, match="two 2x2 blocks"):
         FockOperator._from_blocks(n, op_kind, diagonal, shared, shared_hop, shared_back)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(_OPERATORS), distinct_modes(4, top=8), _KIND,
+    st.tuples(_WEIGHT, _WEIGHT, _WEIGHT), st.booleans(), st.integers(0, 2**32 - 1),
+)
+@example("rotation", (8, (7, 0, 3, 5)), "even", (0.0, 0.0, 0.0), False, 1)
+@example("rotation-both", (8, (2, 6, 0, 1)), "odd", (0.0, 0.0, 0.0), False, 2)
+@example("cnot", (8, (0, 7, 5, 2)), "odd", (0.0, 0.0, 0.0), False, 3)
+@example("cnot-both", (7, (6, 1, 3, 0)), "even", (0.0, 0.0, 0.0), False, 4)
+@example("projector-1", (5, (3, 0, 1, 2)), "odd", (0.0, 0.0, 0.0), True, 0)
+@example("pauli-x", (4, (0, 1, 2, 3)), "even", (0.0, 0.0, 0.0), True, 1)
+def test_block_apply_equals_the_dense_matrix_product(name, case, kind, weights, basis, seed):
+    """``apply`` of a block form is ``matrix @ vector`` within 1e-15 per entry, with the same
+    parity tag, and raises what the dense form raises on a state it annihilates."""
+    n, modes = case
+    op = _block_operator(name, n, modes, kind, weights)
+    state = basis_state(n, seed % (1 << n)) if basis else random_state(n, seed=seed)
+    dense = FockOperator(n, op.matrix, op.kind)
+    outcomes = []
+    for form in (op, dense):
+        try:
+            outcomes.append(form.apply(state))
+        except FermionError as exc:
+            outcomes.append(exc)
+    got, want = outcomes
+    if isinstance(want, FermionError):
+        assert type(got) is type(want)
+    else:
+        assert got.parity == want.parity
+        assert np.max(np.abs(got.vector - op.matrix @ state.vector)) <= 1e-15

@@ -628,7 +628,24 @@ def test_cached_gate_arrays_are_read_only():
     for gate in cached:
         assert isinstance(gate, FockOperator)
         assert gate.kind == "unitary"
+        assert not any(a.flags.writeable for a in (gate._diagonal, gate._partner, gate._off))
         assert not gate.matrix.flags.writeable
+
+
+def test_protocols_never_build_a_dense_matrix():
+    protocols._teleport_gates.cache_clear()
+    protocols._sdc_unitary.cache_clear()
+    protocols._code_family.cache_clear()
+    for kind in ("odd", "even"):
+        run_teleportation((0.6, 0.8), kind)
+    for variant in ("psi00", "psi00prime"):
+        for message in protocols._SDC_MESSAGES:
+            assert superdense_decode(superdense_encode(message, variant), variant) == message
+    cached = [gate for kind in ("odd", "even") for gate in protocols._teleport_gates(kind)]
+    assert protocols._sdc_unitary.cache_info().currsize == 4
+    cached += [protocols._sdc_unitary(key) for key in ("01", "10", "11", "parity")]
+    for gate in cached:
+        assert "matrix" not in vars(gate)
 
 
 def test_protocols_act_only_through_operator_apply(monkeypatch):
@@ -744,14 +761,15 @@ def test_gate_check_allocates_no_second_dense_matrix():
         lambda: pauli(odd, "x", 10),
         lambda: occupation_projector(3, 1, 10),
     )
+    dense = 16 * 4**10  # bytes of one complex 2^10 x 2^10 matrix
     tracemalloc.start()
     try:
         for build in builds:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             gate = build()
-            # the gate matrix itself plus O(2^n) tables, never a second 2^n x 2^n array
-            assert tracemalloc.get_traced_memory()[1] - before < 1.5 * gate.matrix.nbytes
+            # the block form and O(2^n) tables, never a 2^n x 2^n array
+            assert tracemalloc.get_traced_memory()[1] - before < dense / 16
             del gate
     finally:
         tracemalloc.stop()
@@ -777,6 +795,68 @@ def test_out_of_range_modes_raise_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# n = 12: every public name that returns a FockOperator
+# ---------------------------------------------------------------------------
+
+_N12_PEAK = 4 << 20
+
+#: (public name, call at n = 12, the FermionError it raises before allocating or None);
+#: an operator that builds is applied to a random even 12-mode state
+N12_OPERATORS = [
+    ("pauli", lambda: pauli(QubitEncoding((11, 0), "even"), "y", 12), None),
+    ("rotation", lambda: rotation(QubitEncoding((3, 9), "odd"), (0.3, -0.7, 0.5), 12), None),
+    ("rotation", lambda: rotation(QubitEncoding((0, 11), "even"), (1.0, 0.2, -0.4), 12, True),
+     None),
+    ("hadamard", lambda: hadamard(QubitEncoding((5, 6), "even"), 12), None),
+    ("cnot", lambda: cnot(QubitEncoding((0, 1), "odd"), QubitEncoding((10, 11), "odd"), 12),
+     None),
+    ("cnot", lambda: cnot(QubitEncoding((8, 2), "even"), QubitEncoding((4, 7), "odd"), 12, True),
+     None),
+    ("parity_gate", lambda: parity_gate((0, 5, 11), 12), None),
+    ("occupation_projector", lambda: occupation_projector(11, 1, 12), None),
+    ("lift_to_fock", lambda: fermient.lift_to_fock(fermient.identity_map(12), 12),
+     fermient.MemoryBudgetError),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error", [entry[1:] for entry in N12_OPERATORS],
+    ids=[f"{name}-{k}" for k, (name, *_) in enumerate(N12_OPERATORS)],
+)
+def test_operators_build_and_apply_at_twelve_modes_within_the_peak(build, error):
+    """A block-built operator builds and applies at n = 12 without its 256 MiB matrix;
+    the dense lift raises its budget error first. Either stays under 4 MiB traced."""
+    state = fermient.random_state(12, "even", seed=12)
+    tracemalloc.start()
+    try:
+        if error is None:
+            op = build()
+            out = op.apply(state)
+        else:
+            with pytest.raises(error):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _N12_PEAK
+    if error is None:
+        assert "matrix" not in vars(op)
+        assert out.n_modes == 12 and out.parity == "even"
+        if op.kind == "unitary":
+            assert abs(out.norm() - 1.0) <= 1e-12
+
+
+def test_every_public_operator_constructor_is_in_the_n12_table():
+    returns_operator = {
+        name for name in fermient.__all__
+        if inspect.isfunction(getattr(fermient, name))
+        and inspect.signature(getattr(fermient, name)).return_annotation in ("FockOperator",
+                                                                             FockOperator)
+    }
+    assert returns_operator == {name for name, *_ in N12_OPERATORS}
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +969,15 @@ def test_every_public_mode_parameter_is_in_the_integer_table():
         wanted |= {(name, param) for param in names & set(params)}
     assert wanted - covered == set()
     assert covered <= wanted
+
+
+def test_encoding_pair_is_read_into_a_tuple_of_ints():
+    # the gates' bit tables are cached per pair, so a list or NumPy entries must key them too
+    enc = QubitEncoding([np.int64(2), 0], "even")
+    assert enc.pair == (2, 0) and all(type(m) is int for m in enc.pair)
+    want = rotation(QubitEncoding((2, 0), "even"), (0.3, -0.2, 0.9), 3).apply(vacuum_state(3))
+    got = rotation(enc, (0.3, -0.2, 0.9), 3).apply(vacuum_state(3))
+    assert np.array_equal(got.vector, want.vector)
 
 
 def test_random_state_checks_its_parity_tag_before_drawing():
