@@ -766,7 +766,7 @@ def _operator_and_oracle(name, n, modes, kind, weights):
     if name.startswith("projector"):
         occupied = number_matrix(n, a)
         return op, occupied if name[-1] == "1" else np.eye(1 << n) - occupied
-    return op, -oracle_exp(math.pi * (number_matrix(n, c) + number_matrix(n, a)))
+    return op, -oracle_exp(math.pi * sum(number_matrix(n, m) for m in (c, a)))
 
 
 def _spied(build):

@@ -604,9 +604,9 @@ def test_superdense_encode_builds_its_gates_once(monkeypatch):
     built = []
     seal = FockOperator._seal
 
-    def counted(self, matrix, defect):
+    def counted(self, defect, **arrays):
         built.append(self.kind)
-        return seal(self, matrix, defect)
+        return seal(self, defect, **arrays)
 
     monkeypatch.setattr(FockOperator, "_seal", counted)
     for _ in range(3):
